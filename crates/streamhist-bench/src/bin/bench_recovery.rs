@@ -60,7 +60,6 @@ fn main() {
     // on purpose: rapid deaths are the workload, not flapping.
     let store = Arc::new(MemStore::new());
     let fleet = ShardedFixedWindow::builder(shards, window, b, eps)
-        .checkpoint_interval(256)
         .durability(
             DurabilityOptions::new(Arc::clone(&store) as _)
                 .wal_sync(64)

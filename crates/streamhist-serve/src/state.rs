@@ -630,7 +630,10 @@ mod tests {
         }
         match state.answer(&Request::WalStatus).unwrap() {
             Response::WalStatus(status) => {
-                assert!(!status.enabled, "test fleet has no durability pipeline");
+                assert!(
+                    status.enabled,
+                    "every fleet has a WAL (MemStore by default)"
+                );
                 assert_eq!(status.segments_written, 0);
             }
             other => panic!("unexpected {other:?}"),
@@ -748,18 +751,27 @@ mod tests {
         state.answer(&Request::RespawnShard { shard: 0 }).unwrap();
         match state.answer(&Request::Events { from: 0 }).unwrap() {
             Response::Events { recorded, events } => {
-                assert_eq!(recorded, 1);
-                assert_eq!(events.len(), 1);
+                // The respawn anchors the handed-off summary in the
+                // fleet's store before the restart is recorded.
+                assert_eq!(recorded, 2);
+                assert_eq!(events.len(), 2);
                 assert!(
-                    matches!(events[0].kind, EventKind::ShardRestarted { shard: 0, .. }),
+                    matches!(
+                        events[0].kind,
+                        EventKind::CheckpointUploaded { shard: 0, .. }
+                    ),
+                    "{events:?}"
+                );
+                assert!(
+                    matches!(events[1].kind, EventKind::ShardRestarted { shard: 0, .. }),
                     "{events:?}"
                 );
                 // Paging past the end is empty but `recorded` still tells
                 // the client where the stream stands.
-                let next = events[0].seq + 1;
+                let next = events[1].seq + 1;
                 match state.answer(&Request::Events { from: next }).unwrap() {
                     Response::Events { recorded, events } => {
-                        assert_eq!(recorded, 1);
+                        assert_eq!(recorded, 2);
                         assert!(events.is_empty());
                     }
                     other => panic!("unexpected {other:?}"),

@@ -1,5 +1,6 @@
 //! Incremental durability for sharded fleets: per-shard WAL + full frames
-//! behind a pluggable [`CheckpointStore`].
+//! behind a pluggable [`CheckpointStore`]. Every fleet has this pipeline;
+//! one built without an explicit store gets a private [`MemStore`].
 //!
 //! A full checkpoint frame costs `O(window)` to encode; cutting one every
 //! `checkpoint_interval` accepted records makes durability cost linear in
@@ -13,8 +14,9 @@
 //! lands durably, the log it supersedes is truncated.
 //!
 //! Recovery (`respawn_shard` after a worker death, or
-//! `load_from_store`) is *last frame + WAL replay*: restore the newest
-//! frame, then re-push every logged record past it, in order. Frame
+//! `load_from_store`) is *last frame + WAL replay*, the fleet's only
+//! recovery rule: restore the newest frame, then re-push every logged
+//! record past it, in order. Frame
 //! restore is bit-identical by the [`Checkpoint`](streamhist_core::Checkpoint)
 //! contract and pushes are bit-deterministic, so the recovered summary is
 //! bit-identical to one that never crashed — only the records accepted
@@ -34,7 +36,7 @@ use std::sync::mpsc::{channel, sync_channel, Sender, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-use streamhist_core::{Checkpoint, CheckpointStore, ObjectKind, StoreError, WalSegment};
+use streamhist_core::{Checkpoint, CheckpointStore, MemStore, ObjectKind, StoreError, WalSegment};
 use streamhist_obs::{Counter, EventKind, FlightRecorder, Gauge, MetricsRegistry, RatioTracker};
 
 /// Bytes of ingest each accepted record represents (one `f64`), the
@@ -110,10 +112,11 @@ pub(crate) fn with_retry_observed<T>(
 /// Configuration for a fleet's durability pipeline, passed to
 /// `ShardedFixedWindow::builder(..).durability(..)`.
 ///
-/// Construct with [`DurabilityOptions::new`] and adjust via the chainable
-/// setters; the defaults (64-record segments, 1024-record frames, a
-/// 256-job upload queue that blocks when full) fit the committed
-/// `BENCH_wal.json` amplification gate.
+/// Construct with [`DurabilityOptions::new`] (or [`Default`], over a fresh
+/// [`MemStore`]) and adjust via the chainable setters; the defaults
+/// (64-record segments, 1024-record frames, a 256-job upload queue that
+/// blocks when full) fit the committed `BENCH_wal.json` amplification
+/// gate.
 #[derive(Clone)]
 pub struct DurabilityOptions {
     /// Where frames and WAL segments go.
@@ -180,6 +183,15 @@ impl DurabilityOptions {
     }
 }
 
+impl Default for DurabilityOptions {
+    /// [`DurabilityOptions::new`] over a fresh, private [`MemStore`]: what
+    /// a fleet built without
+    /// [`durability`](crate::ShardedFixedWindowBuilder::durability) uses.
+    fn default() -> Self {
+        Self::new(Arc::new(MemStore::new()))
+    }
+}
+
 impl fmt::Debug for DurabilityOptions {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("DurabilityOptions")
@@ -192,12 +204,12 @@ impl fmt::Debug for DurabilityOptions {
 }
 
 /// Point-in-time view of a fleet's durability pipeline — the payload of
-/// the serve-layer `wal-status` admin verb. For a fleet built without
-/// durability, `enabled` is `false` and every other field is zero.
+/// the serve-layer `wal-status` admin verb.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct WalStatus {
-    /// Whether the fleet was built with
-    /// [`durability`](crate::ShardedFixedWindowBuilder::durability).
+    /// Whether the fleet has a durability pipeline. Always `true` for a
+    /// fleet (every fleet has one); kept on the wire for compatibility
+    /// with peers that could report `false`.
     pub enabled: bool,
     /// Configured records per WAL segment.
     pub wal_sync: u64,
@@ -381,9 +393,8 @@ impl UploadHandle {
     }
 
     /// Enqueues a frame. Frames are control plane: always a blocking send,
-    /// never shed, regardless of policy. Also used by `restore_all` to
-    /// re-anchor the store after a rewinding load.
-    pub(crate) fn send_frame(&self, shard: usize, seq: u64, bytes: Vec<u8>) {
+    /// never shed, regardless of policy.
+    fn send_frame(&self, shard: usize, seq: u64, bytes: Vec<u8>) {
         self.metrics.queue_depth.inc();
         if self.tx.send(Job::Frame { shard, seq, bytes }).is_err() {
             self.metrics.queue_depth.dec();
@@ -543,9 +554,20 @@ impl FleetDurability {
         }
     }
 
-    pub(crate) fn handle(&self) -> UploadHandle {
+    fn handle(&self) -> UploadHandle {
         self.uploader
             .handle(self.options.upload_policy, Arc::clone(&self.metrics))
+    }
+
+    /// Makes `frame` (a summary that has absorbed `seq` records) shard
+    /// `shard`'s canonical recovery point and waits until it has been
+    /// processed: once it lands, the uploader truncates every other object
+    /// of the shard. Called before a replacement worker starts, so the
+    /// frame is ordered after everything the previous worker shipped.
+    pub(crate) fn anchor(&self, shard: usize, seq: u64, frame: Vec<u8>) {
+        let handle = self.handle();
+        handle.send_frame(shard, seq, frame);
+        handle.flush();
     }
 
     /// The WAL state a freshly installed worker starts from: `base` is the

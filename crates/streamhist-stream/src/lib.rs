@@ -41,8 +41,9 @@
 //! per-shard respawn, and lock-free per-shard counters ([`ShardMetrics`]).
 //! Every summary implements the versioned, checksummed
 //! [`Checkpoint`](streamhist_core::Checkpoint) frame format; the sharded
-//! layer auto-checkpoints each shard and restores from the last checkpoint
-//! on respawn, reporting the loss window in a [`RecoveryReport`].
+//! layer logs each shard to a WAL in a checkpoint store, recovers a dead
+//! shard from the newest frame plus WAL replay on respawn, and reports the
+//! loss in a [`RecoveryReport`].
 //! Malformed input is rejected, not fatal: every summary implements the
 //! [`StreamSummary`](streamhist_core::StreamSummary) trait with a fallible
 //! `try_push` returning

@@ -25,14 +25,16 @@
 //!   while the rest of the fleet keeps serving, and
 //!   [`respawn_shard`](ShardedFixedWindow::respawn_shard) restores service
 //!   on the dead index from its last checkpoint.
-//! * **Durability.** Every worker auto-checkpoints its summary every
-//!   [`ShardedOptions::checkpoint_interval`] accepted records — a
-//!   versioned, CRC-checksummed [`Checkpoint`] frame kept in memory.
+//! * **Durability.** Every fleet has a durability pipeline
+//!   ([`DurabilityOptions`]; an in-process `MemStore` unless the builder
+//!   names a store): each worker logs accepted records to a per-shard WAL
+//!   and cuts a versioned, CRC-checksummed [`Checkpoint`] frame every
+//!   [`DurabilityOptions::checkpoint_interval`] accepted records.
 //!   [`respawn_shard`](ShardedFixedWindow::respawn_shard) seeds the
 //!   replacement worker from a live worker's drained summary (lossless
-//!   handoff) or, after a death, from the last checkpoint, and reports
-//!   exactly how many accepted records were lost since that checkpoint was
-//!   taken ([`RecoveryReport`]).
+//!   handoff) or, after a death, from the newest stored frame plus WAL
+//!   replay, and reports exactly how many accepted records were lost
+//!   ([`RecoveryReport`]).
 //!   [`checkpoint_all`](ShardedFixedWindow::checkpoint_all) /
 //!   [`restore_all`](ShardedFixedWindow::restore_all) save and load the
 //!   whole fleet through any [`Write`]/[`Read`] sink.
@@ -63,7 +65,7 @@ use std::fmt;
 use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Sender, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 use streamhist_core::{Checkpoint, CheckpointStore, Histogram, StreamhistError};
@@ -213,12 +215,6 @@ pub struct ShardedOptions {
     pub queue_capacity: usize,
     /// What to do when the queue is full.
     pub policy: OverloadPolicy,
-    /// A worker takes an automatic in-memory checkpoint of its summary
-    /// after every this many accepted records. Must be positive; the
-    /// default is 1024. Smaller values tighten the worst-case loss window
-    /// of [`ShardedFixedWindow::respawn_shard`] at the cost of more encode
-    /// work per record.
-    pub checkpoint_interval: usize,
 }
 
 impl Default for ShardedOptions {
@@ -226,7 +222,6 @@ impl Default for ShardedOptions {
         Self {
             queue_capacity: 1024,
             policy: OverloadPolicy::Block,
-            checkpoint_interval: 1024,
         }
     }
 }
@@ -240,12 +235,12 @@ impl Default for ShardedOptions {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// `total_pushed()` of the summary the replacement worker starts from:
-    /// the drained summary of a live worker, or the decoded checkpoint of
-    /// a dead one (0 if no usable checkpoint existed).
+    /// the drained summary of a live worker, or the newest stored frame
+    /// plus WAL replay for a dead one (0 if the store was unreadable).
     pub restored_len: u64,
-    /// Accepted records that died with the worker: everything accepted
-    /// after the restored checkpoint was taken. Always 0 when the old
-    /// worker was still alive (lossless handoff).
+    /// Accepted records that died with the worker: everything it held
+    /// beyond what the store could replay. Always 0 when the old worker
+    /// was still alive (lossless handoff).
     pub lost_since_checkpoint: u64,
 }
 
@@ -508,24 +503,9 @@ impl MetricsInner {
     }
 }
 
-/// The last checkpoint taken for one shard index: the encoded frame plus
-/// the value of the shard's `pushes_accepted` counter at the instant it
-/// was taken (the anchor for `lost_since_checkpoint` accounting). The slot
-/// outlives individual workers — it is what a dead shard restores from.
-struct CheckpointSlot {
-    frame: Vec<u8>,
-    accepted_at: u64,
-}
-
-/// Encodes the worker's current summary into the shared slot, maintaining
-/// the checkpoint metrics, and returns the frame (for callers that also
-/// ship it somewhere). Runs on the worker thread, so `pushes_accepted` is
-/// exact: the worker is its only writer.
-fn checkpoint_now(
-    fw: &FixedWindowHistogram,
-    metrics: &MetricsInner,
-    slot: &Mutex<CheckpointSlot>,
-) -> Vec<u8> {
+/// Encodes the worker's current summary, maintaining the checkpoint
+/// metrics, and returns the frame for the caller to ship.
+fn checkpoint_now(fw: &FixedWindowHistogram, metrics: &MetricsInner) -> Vec<u8> {
     #[cfg(feature = "obs")]
     let encode_start = metrics.timing.as_ref().map(|_| Instant::now());
     let frame = fw.encode_checkpoint();
@@ -535,11 +515,6 @@ fn checkpoint_now(
     }
     metrics.checkpoints_taken.inc();
     metrics.checkpoint_bytes.inc_by(frame.len() as u64);
-    let accepted_at = metrics.pushes_accepted.get();
-    *slot.lock().unwrap_or_else(PoisonError::into_inner) = CheckpointSlot {
-        frame: frame.clone(),
-        accepted_at,
-    };
     frame
 }
 
@@ -583,7 +558,6 @@ struct Shard {
     /// point sees `Some`.
     handle: Option<JoinHandle<FixedWindowHistogram>>,
     metrics: Arc<MetricsInner>,
-    checkpoint: Arc<Mutex<CheckpointSlot>>,
     /// `pushes_accepted` at the current worker's install minus its seed
     /// summary's `total_pushed`: translates between the cumulative metric
     /// domain (which counts records lost in earlier epochs) and the
@@ -657,18 +631,18 @@ pub struct ShardedFixedWindow {
     /// [`kernel_tracer`](ShardedFixedWindowBuilder::kernel_tracer).
     #[cfg(feature = "obs")]
     kernel_tracer: Option<Arc<KernelTracer>>,
-    /// The durability pipeline, when the fleet was built with
-    /// [`durability`](ShardedFixedWindowBuilder::durability). Declared
-    /// after `shards` so workers (which hold uploader handles) shut down
-    /// before the uploader is joined.
-    durability: Option<FleetDurability>,
+    /// The durability pipeline: the store of
+    /// [`durability`](ShardedFixedWindowBuilder::durability), or a private
+    /// `MemStore`. Declared after `shards` so workers (which hold uploader
+    /// handles) shut down before the uploader is joined.
+    durability: FleetDurability,
 }
 
 impl ShardedFixedWindow {
     /// Spawns `shards` worker threads, each owning a
-    /// `FixedWindowHistogram::new(capacity, b, eps)`, with default
-    /// [`ShardedOptions`] (queue of 1024 commands,
-    /// [`OverloadPolicy::Block`]).
+    /// `FixedWindowHistogram::new(capacity, b, eps)`, with the builder's
+    /// defaults (queue of 1024 commands, [`OverloadPolicy::Block`], a
+    /// private `MemStore` durability pipeline).
     ///
     /// # Panics
     ///
@@ -677,26 +651,7 @@ impl ShardedFixedWindow {
     /// non-panicking surface.
     #[must_use]
     pub fn new(shards: usize, capacity: usize, b: usize, eps: f64) -> Self {
-        Self::with_options(shards, capacity, b, eps, ShardedOptions::default())
-    }
-
-    /// [`Self::new`] with explicit queue bound and overload policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == 0`, `options.queue_capacity == 0`, or on the
-    /// parameter conditions of [`FixedWindowHistogram::new`]. Use
-    /// [`Self::builder`] for the non-panicking surface.
-    #[must_use]
-    pub fn with_options(
-        shards: usize,
-        capacity: usize,
-        b: usize,
-        eps: f64,
-        options: ShardedOptions,
-    ) -> Self {
         Self::builder(shards, capacity, b, eps)
-            .options(options)
             .build()
             .unwrap_or_else(|e| panic!("{e}"))
     }
@@ -729,25 +684,16 @@ impl ShardedFixedWindow {
     }
 
     /// Spawns one worker owning `fw` (a fresh, drained, or
-    /// checkpoint-restored summary — the caller decides). The worker
-    /// auto-checkpoints into `slot` every checkpoint interval's worth of
-    /// accepted records; with durability configured (`wal` is `Some`) it
-    /// additionally logs every accepted record to the WAL and ships each
-    /// interval frame to the store, and the interval comes from
-    /// [`DurabilityOptions::checkpoint_interval`].
+    /// store-recovered summary — the caller decides). The worker logs
+    /// every accepted record to `wal` and ships a frame to the store every
+    /// [`DurabilityOptions::checkpoint_interval`] accepted records.
     fn spawn_worker(
         &self,
         mut fw: FixedWindowHistogram,
         metrics: Arc<MetricsInner>,
-        slot: Arc<Mutex<CheckpointSlot>>,
-        mut wal: Option<ShardWal>,
+        mut wal: ShardWal,
     ) -> (SyncSender<Envelope>, JoinHandle<FixedWindowHistogram>) {
-        let interval = self
-            .durability
-            .as_ref()
-            .map_or(self.options.checkpoint_interval, |d| {
-                d.options.checkpoint_interval
-            });
+        let interval = self.durability.options.checkpoint_interval;
         let (tx, rx) = sync_channel::<Envelope>(self.options.queue_capacity);
         #[cfg(feature = "obs")]
         let tracer = self.kernel_tracer.clone();
@@ -770,9 +716,7 @@ impl ShardedFixedWindow {
                         Ok(()) => {
                             metrics.pushes_accepted.inc();
                             since_checkpoint += 1;
-                            if let Some(w) = wal.as_mut() {
-                                w.record(v);
-                            }
+                            wal.record(v);
                         }
                         Err(_) => {
                             metrics.values_rejected.inc();
@@ -786,11 +730,9 @@ impl ShardedFixedWindow {
                         if out.accepted > 0 {
                             metrics.pushes_accepted.inc_by(out.accepted as u64);
                             since_checkpoint += out.accepted;
-                            if let Some(w) = wal.as_mut() {
-                                // The WAL logs exactly what the summary
-                                // accepted: the finite values, in order.
-                                w.record_batch(&vs);
-                            }
+                            // The WAL logs exactly what the summary
+                            // accepted: the finite values, in order.
+                            wal.record_batch(&vs);
                         }
                         if out.rejected > 0 {
                             metrics.values_rejected.inc_by(out.rejected as u64);
@@ -804,11 +746,9 @@ impl ShardedFixedWindow {
                         let _ = reply.send((h, stats, metrics.pushes_accepted.get()));
                     }
                     Cmd::Checkpoint(reply) => {
-                        let frame = checkpoint_now(&fw, &metrics, &slot);
+                        let frame = checkpoint_now(&fw, &metrics);
                         since_checkpoint = 0;
-                        if let Some(w) = wal.as_mut() {
-                            w.on_frame(fw.total_pushed(), frame.clone());
-                        }
+                        wal.on_frame(fw.total_pushed(), frame.clone());
                         let _ = reply.send((frame, fw.total_pushed()));
                     }
                     Cmd::InjectPanic => panic!("injected shard worker panic (fault injection)"),
@@ -819,11 +759,9 @@ impl ShardedFixedWindow {
                     }
                 }
                 if since_checkpoint >= interval {
-                    let frame = checkpoint_now(&fw, &metrics, &slot);
+                    let frame = checkpoint_now(&fw, &metrics);
                     since_checkpoint = 0;
-                    if let Some(w) = wal.as_mut() {
-                        w.on_frame(fw.total_pushed(), frame);
-                    }
+                    wal.on_frame(fw.total_pushed(), frame);
                 }
             }
             // Channel closed: hand the summary back to `join`/`respawn`.
@@ -1382,36 +1320,33 @@ impl ShardedFixedWindow {
     }
 
     /// Spawns a replacement worker on shard `shard` seeded with `seed`,
-    /// refreshing the checkpoint slot to `frame` (the encoding of `seed`)
-    /// so per-epoch loss accounting restarts from the seed state, and
     /// resetting the queue-depth gauge for the new (empty) queue.
+    ///
+    /// `frame` (the encoding of `seed`) first becomes the shard's anchor
+    /// in the store: it is enqueued to the uploader before the new worker
+    /// exists, so FIFO order puts it behind every segment the retired
+    /// worker shipped and ahead of the new worker's first segment, and the
+    /// flush returns once it (and the truncate it triggers) has landed. A
+    /// later crash therefore always replays from the seed state forward —
+    /// whether the seed came from a live handoff, a store recovery, or a
+    /// fleet load.
     fn install_worker(&mut self, shard: usize, seed: FixedWindowHistogram, frame: Vec<u8>) {
         let metrics = Arc::clone(&self.shards[shard].metrics);
-        let slot = Arc::clone(&self.shards[shard].checkpoint);
-        let accepted = metrics.pushes_accepted.get();
-        *slot.lock().unwrap_or_else(PoisonError::into_inner) = CheckpointSlot {
-            frame,
-            accepted_at: accepted,
-        };
+        let base = seed.total_pushed();
         // Re-anchor the metric-domain ↔ summary-domain translation: from
         // here on, `accepted - (epoch_offset + total_pushed)` counts
         // exactly the records accepted by dead workers and never made
         // durable.
         #[allow(clippy::cast_possible_wrap)]
         {
-            self.shards[shard].epoch_offset = accepted as i64 - seed.total_pushed() as i64;
+            self.shards[shard].epoch_offset = metrics.pushes_accepted.get() as i64 - base as i64;
         }
-        let wal = self.shard_wal(shard, seed.total_pushed());
-        let (sender, handle) = self.spawn_worker(seed, Arc::clone(&metrics), slot, wal);
+        self.durability.anchor(shard, base, frame);
+        let wal = self.durability.shard_wal(shard, base);
+        let (sender, handle) = self.spawn_worker(seed, Arc::clone(&metrics), wal);
         self.shards[shard].sender = sender;
         self.shards[shard].handle = Some(handle);
         metrics.queue_depth.set(0);
-    }
-
-    /// A fresh per-shard WAL buffer starting at sequence `base`, or `None`
-    /// when the fleet has no durability pipeline.
-    fn shard_wal(&self, shard: usize, base: u64) -> Option<ShardWal> {
-        self.durability.as_ref().map(|d| d.shard_wal(shard, base))
     }
 
     /// Replaces shard `shard`'s worker, restoring service on that index
@@ -1422,13 +1357,15 @@ impl ShardedFixedWindow {
     /// drains every queued command and the replacement worker is seeded
     /// with its final summary — a **lossless handoff**
     /// (`lost_since_checkpoint == 0`). If it had died, the replacement is
-    /// seeded from the shard's last in-memory checkpoint, and the report
-    /// says exactly how many accepted records died with the worker
-    /// (everything accepted after that checkpoint was taken); with no
-    /// usable checkpoint the shard restarts empty and the whole epoch is
-    /// reported lost. Cumulative metrics survive; `queue_depth` is reset
-    /// for the new (empty) queue, `respawns` increments, and `restores`
-    /// increments when a checkpoint frame was decoded.
+    /// seeded from the store: the newest frame plus WAL replay, and the
+    /// report says exactly how many accepted records died with the worker
+    /// (those past the last durable segment). If the store is unreadable
+    /// the shard restarts empty and everything the dead worker held is
+    /// reported lost. Either way the seed becomes the shard's anchor frame
+    /// in the store before the replacement accepts a record. Cumulative
+    /// metrics survive; `queue_depth` is reset for the new (empty) queue,
+    /// `respawns` increments, and `restores` increments when the store was
+    /// read.
     ///
     /// Takes `&mut self`, so producers (which hold `&self`) can never race
     /// a respawn — wrap the whole value in an `RwLock` to respawn while
@@ -1438,7 +1375,6 @@ impl ShardedFixedWindow {
     ///
     /// Panics if `shard` is out of range.
     pub fn respawn_shard(&mut self, shard: usize) -> RecoveryReport {
-        let metrics = Arc::clone(&self.shards[shard].metrics);
         let (seed, report) = match self.retire_worker(shard) {
             Some(fw) => {
                 let report = RecoveryReport {
@@ -1447,85 +1383,45 @@ impl ShardedFixedWindow {
                 };
                 (fw, report)
             }
-            None => {
-                // Read the counter only after the join above: a dying
-                // worker can still accept queued records (and even take an
-                // auto-checkpoint) right up to its death, so any earlier
-                // read would undercount the loss. Post-join both the
-                // counter and the slot are frozen.
-                let accepted = metrics.pushes_accepted.get();
-                if let Some(recovered) = self.recover_from_store(shard, accepted) {
-                    recovered
-                } else {
-                    let slot = Arc::clone(&self.shards[shard].checkpoint);
-                    let guard = slot.lock().unwrap_or_else(PoisonError::into_inner);
-                    let accepted_at = guard.accepted_at;
-                    #[cfg(feature = "obs")]
-                    let restore_start = metrics.timing.as_ref().map(|_| Instant::now());
-                    let decoded = FixedWindowHistogram::restore(&guard.frame);
-                    #[cfg(feature = "obs")]
-                    if let (Some(t), Some(start)) = (&metrics.timing, restore_start) {
-                        t.restore.record(start.elapsed());
-                    }
-                    drop(guard);
-                    let lost_since_checkpoint = accepted.saturating_sub(accepted_at);
-                    match decoded {
-                        Ok(fw) => {
-                            metrics.restores.inc();
-                            let report = RecoveryReport {
-                                restored_len: fw.total_pushed(),
-                                lost_since_checkpoint,
-                            };
-                            (fw, report)
-                        }
-                        // Unreachable through this module's own frames, but a
-                        // corrupt slot must degrade to an empty shard, not a
-                        // panic.
-                        Err(_) => {
-                            let report = RecoveryReport {
-                                restored_len: 0,
-                                lost_since_checkpoint,
-                            };
-                            (self.fresh_summary(), report)
-                        }
-                    }
-                }
-            }
+            None => self.recover_from_store(shard),
         };
         let frame = seed.encode_checkpoint();
         self.install_worker(shard, seed, frame);
-        metrics.respawns.inc();
+        self.shards[shard].metrics.respawns.inc();
         report
     }
 
-    /// Durability-backed dead-shard recovery: flush the uploader so every
-    /// WAL segment the dead worker shipped is in the store, then rebuild
-    /// the summary from the newest frame plus its WAL tail. Returns `None`
-    /// when the fleet has no durability pipeline or the store itself is
-    /// unreadable (the caller falls back to the in-memory slot). Loss is
-    /// exact: the records the dead worker accepted (metric domain) minus
-    /// those the recovered summary holds (translated via the shard's
+    /// Dead-shard recovery, called once the dead worker has been joined:
+    /// flush the uploader so every WAL segment the dead worker shipped is
+    /// in the store, then rebuild the summary from the newest frame plus
+    /// its WAL tail — or an empty summary if the store is unreadable. Loss
+    /// is exact: the records the dead worker accepted (metric domain)
+    /// minus those the recovered summary holds (translated via the shard's
     /// epoch offset) — zero for every record synced before the crash.
-    fn recover_from_store(
-        &self,
-        shard: usize,
-        accepted: u64,
-    ) -> Option<(FixedWindowHistogram, RecoveryReport)> {
-        let d = self.durability.as_ref()?;
+    fn recover_from_store(&self, shard: usize) -> (FixedWindowHistogram, RecoveryReport) {
+        // A dying worker can still accept queued records right up to its
+        // death, so the counter is read only now, post-join, when it is
+        // frozen; any earlier read would undercount the loss.
+        let accepted = self.shards[shard].metrics.pushes_accepted.get();
+        let d = &self.durability;
         d.flush();
         let metrics = &self.shards[shard].metrics;
         #[cfg(feature = "obs")]
         let restore_start = metrics.timing.as_ref().map(|_| Instant::now());
-        let fresh = self.fresh_summary();
-        let fw = recover_shard(d.options.store.as_ref(), shard, &d.metrics.retries, || {
-            fresh
-        })
-        .ok()?;
+        let recovered = recover_shard(d.options.store.as_ref(), shard, &d.metrics.retries, || {
+            self.fresh_summary()
+        });
         #[cfg(feature = "obs")]
         if let (Some(t), Some(start)) = (&metrics.timing, restore_start) {
             t.restore.record(start.elapsed());
         }
-        metrics.restores.inc();
+        let fw = match recovered {
+            Ok(fw) => {
+                metrics.restores.inc();
+                fw
+            }
+            Err(_) => self.fresh_summary(),
+        };
         #[allow(clippy::cast_possible_wrap, clippy::cast_sign_loss)]
         let lost = (accepted as i64 - (self.shards[shard].epoch_offset + fw.total_pushed() as i64))
             .max(0) as u64;
@@ -1533,7 +1429,7 @@ impl ShardedFixedWindow {
             restored_len: fw.total_pushed(),
             lost_since_checkpoint: lost,
         };
-        Some((fw, report))
+        (fw, report)
     }
 
     /// Saves the whole fleet to `sink`: a checkpoint of every shard's
@@ -1542,8 +1438,9 @@ impl ShardedFixedWindow {
     /// barrier, like [`snapshot`](Self::snapshot)). The format is a small
     /// fleet header (magic, version, shard count) followed by one
     /// length-prefixed, self-checksummed [`Checkpoint`] frame per shard,
-    /// in shard order. Taking the checkpoints also refreshes each shard's
-    /// in-memory recovery slot. Returns the number of bytes written.
+    /// in shard order. Each checkpoint is also shipped to the fleet's
+    /// store as that shard's newest frame. Returns the number of bytes
+    /// written.
     ///
     /// # Errors
     ///
@@ -1586,8 +1483,10 @@ impl ShardedFixedWindow {
     /// summary. The load is all-or-nothing: every frame is validated
     /// (header, per-frame CRC, full structural decode) before any worker
     /// is replaced, so a corrupt save leaves the fleet untouched. The
-    /// shard count must match this fleet's. Each shard's `restores`
-    /// counter increments; other cumulative metrics are kept.
+    /// shard count must match this fleet's. Each loaded frame becomes its
+    /// shard's anchor in the fleet's store (stale objects a pre-load run
+    /// left behind are truncated away). Each shard's `restores` counter
+    /// increments; other cumulative metrics are kept.
     ///
     /// # Errors
     ///
@@ -1634,30 +1533,10 @@ impl ShardedFixedWindow {
             }
             restored.push((frame, fw));
         }
-        // With durability, the restored state must become the store's
-        // canonical anchor too: ship each frame and truncate away any
-        // stale higher-sequence objects a pre-restore run left behind, or
-        // a later crash recovery would resurrect the overwritten state.
-        let anchors: Vec<(usize, u64, Vec<u8>)> = if self.durability.is_some() {
-            restored
-                .iter()
-                .enumerate()
-                .map(|(shard, (frame, fw))| (shard, fw.total_pushed(), frame.clone()))
-                .collect()
-        } else {
-            Vec::new()
-        };
         for (shard, (frame, fw)) in restored.into_iter().enumerate() {
             let _ = self.retire_worker(shard);
             self.install_worker(shard, fw, frame);
             self.shards[shard].metrics.restores.inc();
-        }
-        if let Some(d) = &self.durability {
-            let handle = d.handle();
-            for (shard, seq, frame) in anchors {
-                handle.send_frame(shard, seq, frame);
-            }
-            handle.flush();
         }
         Ok(())
     }
@@ -1668,7 +1547,7 @@ impl ShardedFixedWindow {
     /// each shard's WAL up to the saved frame (the frame supersedes the
     /// log). Unlike the sink-based save this addresses frames by shard and
     /// sequence number, so a later [`load_from_store`](Self::load_from_store)
-    /// — or a durability-enabled fleet's own crash recovery — picks up
+    /// — or the crash recovery of a fleet built over `store` — picks up
     /// exactly these frames. Returns the total frame bytes written.
     ///
     /// # Errors
@@ -1699,12 +1578,14 @@ impl ShardedFixedWindow {
     }
 
     /// Rebuilds every shard from `store`: newest checkpoint frame plus WAL
-    /// replay per shard, via the same recovery path a durability-enabled
-    /// fleet uses after a crash ([`respawn_shard`](Self::respawn_shard)).
-    /// A shard with no objects in the store restarts empty. The load is
-    /// all-or-nothing: every shard's state is recovered and validated
-    /// before any worker is replaced, so a corrupt store leaves the fleet
-    /// untouched. Each recovered shard's `restores` counter increments.
+    /// replay per shard, via the same recovery path the fleet uses after a
+    /// crash ([`respawn_shard`](Self::respawn_shard)). A shard with no
+    /// objects in the store restarts empty. The load is all-or-nothing:
+    /// every shard's state is recovered and validated before any worker
+    /// is replaced, so a corrupt store leaves the fleet untouched. Each
+    /// recovered state becomes its shard's anchor frame in the fleet's own
+    /// store (which may differ from `store`), so a later crash replays
+    /// from it. Each recovered shard's `restores` counter increments.
     ///
     /// # Errors
     ///
@@ -1712,15 +1593,11 @@ impl ShardedFixedWindow {
     /// [`StoreError`](streamhist_core::StoreError) if a frame or WAL
     /// segment fails validation.
     pub fn load_from_store(&mut self, store: &dyn CheckpointStore) -> io::Result<()> {
-        let retries = self
-            .durability
-            .as_ref()
-            .map(|d| d.metrics.retries.clone())
-            .unwrap_or_default();
+        let retries = &self.durability.metrics.retries;
         let mut recovered = Vec::with_capacity(self.shards.len());
         for shard in 0..self.shards.len() {
             let fresh = self.fresh_summary();
-            let fw = recover_shard(store, shard, &retries, || fresh)
+            let fw = recover_shard(store, shard, retries, || fresh)
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
             recovered.push(fw);
         }
@@ -1735,22 +1612,16 @@ impl ShardedFixedWindow {
 
     /// The fleet's durability status: WAL/frame counters, checkpoint
     /// amplification, uploader retry/failure totals, and the configured
-    /// knobs. A fleet built without
-    /// [`durability`](ShardedFixedWindowBuilder::durability) reports the
-    /// all-zero default with `enabled == false`.
+    /// knobs (`enabled` is always `true`).
     #[must_use]
     pub fn wal_status(&self) -> WalStatus {
-        self.durability
-            .as_ref()
-            .map_or_else(WalStatus::default, |d| d.metrics.status(&d.options))
+        self.durability.metrics.status(&self.durability.options)
     }
 
     /// Blocks until every durability upload enqueued so far has been
-    /// written to the store (a WAL barrier). No-op without durability.
+    /// written to the store (a WAL barrier).
     pub fn flush_wal(&self) {
-        if let Some(d) = &self.durability {
-            d.flush();
-        }
+        self.durability.flush();
     }
 
     /// Shuts the workers down and returns the shard summaries, in shard
@@ -1772,9 +1643,9 @@ impl ShardedFixedWindow {
     }
 }
 
-/// Validating builder for [`ShardedFixedWindow`], folding the
-/// [`ShardedOptions`] knobs into the same surface as the per-summary
-/// builders.
+/// Validating builder for [`ShardedFixedWindow`], exposing the
+/// [`ShardedOptions`] and [`DurabilityOptions`] knobs on the same surface
+/// as the per-summary builders.
 #[derive(Debug, Clone)]
 pub struct ShardedFixedWindowBuilder {
     shards: usize,
@@ -1827,21 +1698,6 @@ impl ShardedFixedWindowBuilder {
         self
     }
 
-    /// Overrides the auto-checkpoint interval: a shard checkpoints itself
-    /// after every `checkpoint_interval` accepted records (default 1024).
-    #[must_use]
-    pub fn checkpoint_interval(mut self, checkpoint_interval: usize) -> Self {
-        self.options.checkpoint_interval = checkpoint_interval;
-        self
-    }
-
-    /// Replaces the options wholesale (legacy [`ShardedOptions`] surface).
-    #[must_use]
-    pub fn options(mut self, options: ShardedOptions) -> Self {
-        self.options = options;
-        self
-    }
-
     /// Makes [`ShardedFixedWindow::snapshot_global`] gather through a
     /// two-level aggregation tree: shard snapshots are merged in groups of
     /// `fanout`, then the group results are merged once more. Every merge
@@ -1874,8 +1730,7 @@ impl ShardedFixedWindowBuilder {
     /// as its thread-scoped tracer (see
     /// [`telemetry::set_thread_kernel_tracer`](crate::telemetry::set_thread_kernel_tracer)):
     /// the kernel's phase hooks on those threads report to this tracer's
-    /// registry, replacing the deprecated process-global
-    /// `install_kernel_tracer`. Requires the `obs` cargo feature.
+    /// registry. Requires the `obs` cargo feature.
     #[cfg(feature = "obs")]
     #[must_use]
     pub fn kernel_tracer(mut self, tracer: Arc<KernelTracer>) -> Self {
@@ -1883,9 +1738,10 @@ impl ShardedFixedWindowBuilder {
         self
     }
 
-    /// Enables incremental durability: every accepted record is appended
-    /// to a per-shard write-ahead log shipped to
-    /// [`DurabilityOptions::store`] as CRC-framed segments of
+    /// Configures the fleet's durability pipeline (default:
+    /// [`DurabilityOptions::default`], a private `MemStore`). Every
+    /// accepted record is appended to a per-shard write-ahead log shipped
+    /// to [`DurabilityOptions::store`] as CRC-framed segments of
     /// [`wal_sync`](DurabilityOptions::wal_sync) records, a full
     /// checkpoint frame is cut every
     /// [`checkpoint_interval`](DurabilityOptions::checkpoint_interval)
@@ -1893,10 +1749,7 @@ impl ShardedFixedWindowBuilder {
     /// [`respawn_shard`](ShardedFixedWindow::respawn_shard) recovers a
     /// dead shard from the newest frame plus WAL replay — bit-identical
     /// to a summary that ingested the same prefix directly, with
-    /// `lost_since_checkpoint == 0` for every synced record. With
-    /// durability configured, the auto-checkpoint interval comes from
-    /// these options, not
-    /// [`checkpoint_interval`](Self::checkpoint_interval).
+    /// `lost_since_checkpoint == 0` for every synced record.
     #[must_use]
     pub fn durability(mut self, options: DurabilityOptions) -> Self {
         self.durability = Some(options);
@@ -1923,37 +1776,32 @@ impl ShardedFixedWindowBuilder {
                 message: "queue capacity must be positive",
             });
         }
-        if self.options.checkpoint_interval == 0 {
-            return Err(StreamhistError::InvalidParameter {
-                param: "checkpoint_interval",
-                message: "checkpoint interval must be positive",
-            });
-        }
         if self.gather_fanout.is_some_and(|f| f < 2) {
             return Err(StreamhistError::InvalidParameter {
                 param: "gather_fanout",
                 message: "aggregation-tree fanout must be at least 2",
             });
         }
-        if let Some(d) = &self.durability {
-            if d.wal_sync == 0 {
-                return Err(StreamhistError::InvalidParameter {
-                    param: "wal_sync",
-                    message: "WAL sync interval must be positive",
-                });
-            }
-            if d.checkpoint_interval == 0 {
-                return Err(StreamhistError::InvalidParameter {
-                    param: "durability.checkpoint_interval",
-                    message: "checkpoint interval must be positive",
-                });
-            }
-            if d.upload_queue_capacity == 0 {
-                return Err(StreamhistError::InvalidParameter {
-                    param: "upload_queue_capacity",
-                    message: "upload queue capacity must be positive",
-                });
-            }
+        // A fresh default per build: a cloned builder must not share one
+        // private store between two fleets.
+        let durability = self.durability.unwrap_or_default();
+        if durability.wal_sync == 0 {
+            return Err(StreamhistError::InvalidParameter {
+                param: "wal_sync",
+                message: "WAL sync interval must be positive",
+            });
+        }
+        if durability.checkpoint_interval == 0 {
+            return Err(StreamhistError::InvalidParameter {
+                param: "durability.checkpoint_interval",
+                message: "checkpoint interval must be positive",
+            });
+        }
+        if durability.upload_queue_capacity == 0 {
+            return Err(StreamhistError::InvalidParameter {
+                param: "upload_queue_capacity",
+                message: "upload queue capacity must be positive",
+            });
         }
         // Validate the per-shard summary parameters on the caller's thread
         // so bad configs fail here, not inside a silently-dead worker.
@@ -1980,13 +1828,11 @@ impl ShardedFixedWindowBuilder {
         // The recorder exists before the durability pipeline: the uploader
         // thread starts recording upload events the moment it spawns.
         let recorder = self.recorder.unwrap_or_default();
-        let durability = self.durability.map(|opts| {
-            let wal_metrics = match (&self.registry, &fleet_label) {
-                (Some(reg), Some(fleet)) => Arc::new(WalMetricsInner::registered(reg, fleet)),
-                _ => Arc::new(WalMetricsInner::default()),
-            };
-            FleetDurability::new(opts, wal_metrics, Arc::clone(&recorder))
-        });
+        let wal_metrics = match (&self.registry, &fleet_label) {
+            (Some(reg), Some(fleet)) => Arc::new(WalMetricsInner::registered(reg, fleet)),
+            _ => Arc::new(WalMetricsInner::default()),
+        };
+        let durability = FleetDurability::new(durability, wal_metrics, Arc::clone(&recorder));
         let mut this = ShardedFixedWindow {
             shards: Vec::with_capacity(self.shards),
             capacity: self.capacity,
@@ -2013,19 +1859,13 @@ impl ShardedFixedWindowBuilder {
                 inner.timing = timing.clone();
             }
             let metrics = Arc::new(inner);
-            let fw = this.fresh_summary();
-            let slot = Arc::new(Mutex::new(CheckpointSlot {
-                frame: fw.encode_checkpoint(),
-                accepted_at: 0,
-            }));
-            let wal = this.shard_wal(shard, 0);
+            let wal = this.durability.shard_wal(shard, 0);
             let (sender, handle) =
-                this.spawn_worker(fw, Arc::clone(&metrics), Arc::clone(&slot), wal);
+                this.spawn_worker(this.fresh_summary(), Arc::clone(&metrics), wal);
             this.shards.push(Shard {
                 sender,
                 handle: Some(handle),
                 metrics,
-                checkpoint: slot,
                 epoch_offset: 0,
             });
         }
@@ -2149,10 +1989,9 @@ mod tests {
         // ...while the other shard keeps serving.
         sharded.push_to(0, 7.0).expect("other shard unaffected");
         assert!(sharded.snapshot(0).is_ok());
-        // Respawn: the panicked worker restores from its last checkpoint
-        // (the empty boot checkpoint here — the one accepted push came
-        // after it and is reported lost), the index serves again, counters
-        // survive.
+        // Respawn: the panicked worker recovers from the store (empty
+        // here — the one accepted push was never cut into a WAL segment
+        // and is reported lost), the index serves again, counters survive.
         assert_eq!(
             sharded.respawn_shard(1),
             RecoveryReport {
@@ -2165,7 +2004,7 @@ mod tests {
         assert_eq!(h.domain_len(), 1);
         let m = sharded.metrics(1);
         assert_eq!(m.respawns, 1);
-        assert_eq!(m.restores, 1, "the boot checkpoint was decoded");
+        assert_eq!(m.restores, 1, "the store was read");
         assert_eq!(m.pushes_accepted, 2, "pre-death push + post-respawn push");
         assert_eq!(m.queue_depth, 0);
         let results = sharded.join();
@@ -2200,17 +2039,11 @@ mod tests {
         // lands or is shed is timing-dependent, but the accounting
         // identity accepted + rejected + dropped == sent must hold
         // exactly once the snapshot barrier quiesces the shard.
-        let sharded = ShardedFixedWindow::with_options(
-            1,
-            8,
-            2,
-            0.5,
-            ShardedOptions {
-                queue_capacity: 1,
-                policy: OverloadPolicy::DropNewest,
-                ..ShardedOptions::default()
-            },
-        );
+        let sharded = ShardedFixedWindow::builder(1, 8, 2, 0.5)
+            .queue_capacity(1)
+            .policy(OverloadPolicy::DropNewest)
+            .build()
+            .expect("valid parameters");
         let mut sent = 0u64;
         for i in 0..20_000u64 {
             sharded.push_to(0, (i % 13) as f64).expect("never an error");
@@ -2554,22 +2387,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "queue capacity must be positive")]
-    fn zero_queue_capacity_rejected() {
-        let _ = ShardedFixedWindow::with_options(
-            1,
-            8,
-            2,
-            0.5,
-            ShardedOptions {
-                queue_capacity: 0,
-                policy: OverloadPolicy::Block,
-                ..ShardedOptions::default()
-            },
-        );
-    }
-
-    #[test]
     fn scatter_to_a_fleet_with_a_dead_shard_surfaces_the_error_exactly() {
         // Regression: `push_batch_scatter` used to abort mid-loop on the
         // first dead shard, silently skipping the healthy shards after it.
@@ -2610,7 +2427,7 @@ mod tests {
     #[test]
     fn metrics_survive_respawn_and_count_checkpoints() {
         let mut sharded = ShardedFixedWindow::builder(1, 8, 2, 0.5)
-            .checkpoint_interval(2)
+            .durability(DurabilityOptions::default().checkpoint_interval(2))
             .build()
             .expect("valid parameters");
         sharded.push_batch(0, vec![1.0, 2.0, 3.0]).expect("alive");
@@ -2642,7 +2459,7 @@ mod tests {
     #[test]
     fn auto_checkpoint_bounds_loss_after_a_crash() {
         let mut sharded = ShardedFixedWindow::builder(1, 64, 4, 0.1)
-            .checkpoint_interval(10)
+            .durability(DurabilityOptions::default().checkpoint_interval(10))
             .build()
             .expect("valid parameters");
         // Individual pushes, so the interval is honoured per record (a
@@ -2764,9 +2581,14 @@ mod tests {
     }
 
     #[test]
-    fn wal_status_reports_progress_and_defaults_off() {
+    fn wal_status_reports_progress_and_defaults_on() {
+        // A fleet built without `.durability(..)` still has a WAL: the
+        // default options over a private MemStore.
         let plain = ShardedFixedWindow::new(1, 8, 2, 0.5);
-        assert!(!plain.wal_status().enabled);
+        let status = plain.wal_status();
+        assert!(status.enabled);
+        assert_eq!(status.wal_sync, 64);
+        assert_eq!(status.checkpoint_interval, 1024);
         let _ = plain.join();
 
         let store = Arc::new(streamhist_core::MemStore::new());
@@ -2875,7 +2697,8 @@ mod tests {
         let snaps_before = sharded.snapshot_all();
         let _ = sharded.join();
 
-        // A brand-new fleet (no durability required) loads the same state.
+        // A brand-new fleet (over its own default store) loads the same
+        // state.
         let mut restored = ShardedFixedWindow::new(2, 16, 2, 0.5);
         restored
             .load_from_store(store.as_ref())
@@ -2909,5 +2732,135 @@ mod tests {
             .expect("store is valid");
         let summaries = joined_ok(restored);
         assert_eq!(summaries[0].total_pushed(), 12, "frame + WAL tail");
+    }
+
+    #[test]
+    fn a_crash_after_a_reseed_replays_from_the_seed() {
+        // Every reseed (live handoff, fleet load) anchors the seed frame
+        // in the fleet's store, so a later crash replays seed + WAL tail
+        // instead of stopping at the gap between the old WAL and the new
+        // one. Each row reseeds shard 0 with 10 records; the common tail
+        // pushes 8 more (two full 4-record segments), flushes, crashes.
+        type Reseed = fn(Arc<streamhist_core::MemStore>) -> ShardedFixedWindow;
+        let cases: [(&str, Reseed); 2] = [
+            ("lossless handoff", |store| {
+                let mut fleet = durable_fleet(1, store, 4, 1024);
+                fleet
+                    .push_batch(0, (0..10).map(f64::from).collect())
+                    .expect("alive");
+                assert_eq!(
+                    fleet.respawn_shard(0),
+                    RecoveryReport {
+                        restored_len: 10,
+                        lost_since_checkpoint: 0,
+                    }
+                );
+                fleet
+            }),
+            ("load_from_store from another store", |store| {
+                let source = streamhist_core::MemStore::new();
+                let old = ShardedFixedWindow::new(1, 32, 2, 0.5);
+                old.push_batch(0, (0..10).map(f64::from).collect())
+                    .expect("alive");
+                old.save_to_store(&source).expect("healthy fleet saves");
+                let _ = old.join();
+                let mut fleet = durable_fleet(1, store, 4, 1024);
+                fleet.load_from_store(&source).expect("store is valid");
+                fleet
+            }),
+        ];
+        for (name, reseed) in cases {
+            let mut fleet = reseed(Arc::new(streamhist_core::MemStore::new()));
+            fleet
+                .push_batch(0, (10..18).map(f64::from).collect())
+                .expect("alive");
+            let _ = fleet.snapshot(0).expect("barrier");
+            fleet.flush_wal();
+            fleet.inject_worker_panic(0).expect("delivered");
+            assert_eq!(fleet.snapshot(0), Err(ShardError { shard: 0 }), "{name}");
+            assert_eq!(
+                fleet.respawn_shard(0),
+                RecoveryReport {
+                    restored_len: 18,
+                    lost_since_checkpoint: 0,
+                },
+                "{name}: all 18 records were synced"
+            );
+            let summaries = joined_ok(fleet);
+            assert_eq!(
+                summaries[0].window(),
+                (0..18).map(f64::from).collect::<Vec<_>>(),
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
+    fn an_unreadable_store_restarts_the_shard_empty_and_counts_the_epoch_lost() {
+        // Every store call fails, so recovery cannot read anything: the
+        // shard restarts empty and everything the dead worker held — its
+        // seed plus what it accepted — is reported lost.
+        let store = Arc::new(streamhist_core::FailingStore::every_nth(
+            streamhist_core::MemStore::new(),
+            1,
+        ));
+        let mut fleet = ShardedFixedWindow::builder(1, 32, 2, 0.5)
+            .durability(DurabilityOptions::new(store))
+            .build()
+            .expect("valid durable fleet");
+        let crash = |fleet: &mut ShardedFixedWindow| {
+            let _ = fleet.snapshot(0).expect("barrier");
+            fleet.inject_worker_panic(0).expect("delivered");
+            assert_eq!(fleet.snapshot(0), Err(ShardError { shard: 0 }));
+            fleet.respawn_shard(0)
+        };
+        let mut lost = 0;
+        fleet
+            .push_batch(0, (0..10).map(f64::from).collect())
+            .expect("alive");
+        let report = crash(&mut fleet);
+        assert_eq!(
+            report,
+            RecoveryReport {
+                restored_len: 0,
+                lost_since_checkpoint: 10,
+            }
+        );
+        lost += report.lost_since_checkpoint;
+        // A handoff is still lossless (the live worker hands its summary
+        // over), and a crash after it loses the seed with the epoch.
+        fleet
+            .push_batch(0, (0..3).map(f64::from).collect())
+            .expect("alive");
+        assert_eq!(
+            fleet.respawn_shard(0),
+            RecoveryReport {
+                restored_len: 3,
+                lost_since_checkpoint: 0,
+            }
+        );
+        fleet
+            .push_batch(0, (0..2).map(f64::from).collect())
+            .expect("alive");
+        let report = crash(&mut fleet);
+        assert_eq!(
+            report,
+            RecoveryReport {
+                restored_len: 0,
+                lost_since_checkpoint: 5,
+            }
+        );
+        lost += report.lost_since_checkpoint;
+        let m = fleet.metrics(0);
+        assert_eq!(m.respawns, 3);
+        assert_eq!(m.restores, 0, "the store was never read");
+        assert!(fleet.wal_status().failures > 0);
+        let summaries = joined_ok(fleet);
+        assert_eq!(summaries[0].total_pushed(), 0);
+        assert_eq!(
+            m.pushes_accepted,
+            summaries[0].total_pushed() + lost,
+            "conservation: accepted == total_pushed + sum of lost"
+        );
     }
 }

@@ -274,16 +274,6 @@ impl TimeWindowHistogram {
         self.try_push_at(ts, v)
     }
 
-    /// Deprecated spelling of [`push_at`](Self::push_at).
-    ///
-    /// # Panics
-    ///
-    /// Same as [`push_at`](Self::push_at).
-    #[deprecated(note = "renamed to `push_at`")]
-    pub fn observe(&mut self, ts: u64, v: f64) {
-        self.push_at(ts, v);
-    }
-
     /// Advances the clock without adding a point (e.g. a heartbeat),
     /// evicting anything that has aged out.
     ///
@@ -671,7 +661,7 @@ mod tests {
     #[allow(deprecated)]
     fn deprecated_observe_aliases_still_ingest() {
         let mut tw = TimeWindowHistogram::new(10, 2, 0.5);
-        tw.observe(0, 1.0);
+        tw.push_at(0, 1.0);
         tw.try_observe(1, 2.0).expect("alias accepts good record");
         assert_eq!(tw.window(), vec![1.0, 2.0]);
     }

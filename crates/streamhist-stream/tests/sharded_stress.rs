@@ -341,7 +341,7 @@ fn concurrent_producers_respawns_and_overload_keep_the_books_straight() {
 #[test]
 fn supervised_fleet_recovers_under_concurrent_chaos() {
     use streamhist_stream::{
-        FleetHandle, ShardState, SnapshotPolicy, Supervisor, SupervisorOptions,
+        DurabilityOptions, FleetHandle, ShardState, SnapshotPolicy, Supervisor, SupervisorOptions,
     };
 
     let seed: u64 = std::env::var("RECOVERY_SEED")
@@ -355,7 +355,7 @@ fn supervised_fleet_recovers_under_concurrent_chaos() {
 
     let registry = Arc::new(MetricsRegistry::new());
     let fleet = ShardedFixedWindow::builder(SHARDS, 64, 4, 0.1)
-        .checkpoint_interval(32)
+        .durability(DurabilityOptions::default().checkpoint_interval(32))
         .registry(Arc::clone(&registry))
         .fleet_label("supervised")
         .build()

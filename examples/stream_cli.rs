@@ -377,7 +377,7 @@ fn run_query(argv: &[String], trace: Option<u64>) -> i32 {
                         s.queue_depth
                     )
                 } else {
-                    "wal: disabled (fleet built without durability)".to_owned()
+                    "wal: disabled (the server reports no durability pipeline)".to_owned()
                 }
             })),
             ["health"] => Ok(client.health().map(|(supervised, shards)| {

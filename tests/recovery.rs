@@ -339,7 +339,7 @@ fn crash_consistency_fuzz() {
 
     const SHARDS: usize = 4;
     let mut sharded = ShardedFixedWindow::builder(SHARDS, 32, 3, 0.2)
-        .checkpoint_interval(16)
+        .durability(DurabilityOptions::default().checkpoint_interval(16))
         .queue_capacity(64)
         .build()
         .expect("valid parameters");
@@ -499,7 +499,6 @@ fn crash_mid_upload_fuzz() {
 
     let store = Arc::new(FailingStore::every_nth(MemStore::new(), 7));
     let mut fleet = ShardedFixedWindow::builder(SHARDS, CAPACITY, B, EPS)
-        .checkpoint_interval(32)
         .durability(
             DurabilityOptions::new(Arc::clone(&store) as _)
                 .wal_sync(WAL_SYNC)
@@ -790,7 +789,6 @@ fn supervised_chaos_sweep() {
     // evicted: the reconstruction check below requires the full tape.
     let recorder = Arc::new(FlightRecorder::with_capacity(8192));
     let fleet = ShardedFixedWindow::builder(SHARDS, 64, 4, 0.2)
-        .checkpoint_interval(16)
         .recorder(Arc::clone(&recorder))
         .durability(
             DurabilityOptions::new(Arc::clone(&store) as _)
