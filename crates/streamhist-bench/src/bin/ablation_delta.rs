@@ -35,7 +35,10 @@ fn main() {
     ];
 
     for (name, delta) in policies {
-        let mut fw = FixedWindowHistogram::with_delta(window, b, eps, delta);
+        let mut fw = FixedWindowHistogram::builder(window, b, eps)
+            .delta(delta)
+            .build()
+            .expect("valid ablation parameters");
         for &v in &stream[..window] {
             fw.push(v);
         }

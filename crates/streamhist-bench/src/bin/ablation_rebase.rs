@@ -31,7 +31,10 @@ fn main() {
         ("n (paper)", window),
         ("4n", window * 4),
     ] {
-        let mut fw = FixedWindowHistogram::with_rebase_period(window, b, eps, period);
+        let mut fw = FixedWindowHistogram::builder(window, b, eps)
+            .rebase_period(period)
+            .build()
+            .expect("valid ablation parameters");
         let ((), t) = timed(|| {
             for &v in &stream {
                 fw.push(v);

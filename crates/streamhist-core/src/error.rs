@@ -19,8 +19,8 @@ use std::fmt;
 /// A recoverable ingestion error: the record was rejected, the summary is
 /// unchanged and remains fully usable.
 ///
-/// Returned by the `try_push`/`try_observe` entry points of the streaming
-/// summaries; the panicking `push`/`observe` wrappers turn it into a panic
+/// Returned by the `try_push`/`try_push_at` entry points of the streaming
+/// summaries; the panicking `push`/`push_at` wrappers turn it into a panic
 /// with the same message.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StreamhistError {

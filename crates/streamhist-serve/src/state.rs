@@ -15,8 +15,9 @@
 //! Every failure becomes a structured [`WireError`]; nothing a request
 //! can carry reaches a panic. The three load-bearing guards:
 //!
-//! * [`Query::validate`] runs against the snapshot's domain before any
-//!   evaluation (inverted and out-of-domain ranges are data, not bugs);
+//! * [`Query::validate`](streamhist_core::Query::validate) runs against
+//!   the snapshot's domain before any evaluation (inverted and
+//!   out-of-domain ranges are data, not bugs);
 //! * quantile/selectivity arguments are checked (finite, `phi` in
 //!   `[0, 1]`, non-empty sketch) before touching the sketches, whose
 //!   trait methods are allowed to panic on misuse;

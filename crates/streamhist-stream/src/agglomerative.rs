@@ -140,21 +140,6 @@ impl AgglomerativeHistogram {
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Creates the summary with an explicit interval growth factor `delta`
-    /// (the ABL-DELTA ablation; the paper's Example 1 effectively uses
-    /// `delta = 1`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b == 0`, `eps <= 0`, or `delta <= 0`.
-    #[must_use]
-    pub fn with_delta(b: usize, eps: f64, delta: f64) -> Self {
-        Self::builder(b, eps)
-            .delta(delta)
-            .build()
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Builds the summary by pushing every value of `data` (a convenience
     /// for the offline Problem 2 use).
     #[must_use]

@@ -31,6 +31,7 @@
 
 use crate::fixed_window::FixedWindowHistogram;
 use crate::sharded::OverloadPolicy;
+use crate::telemetry::crosses_power_of_two;
 use std::fmt;
 use std::sync::mpsc::{channel, sync_channel, Sender, SyncSender, TrySendError};
 use std::sync::Arc;
@@ -79,14 +80,14 @@ pub(crate) fn with_retry<T>(
     seed: u64,
     op: impl FnMut() -> Result<T, StoreError>,
 ) -> Result<T, StoreError> {
-    with_retry_observed(retries, seed, |_| {}, op)
+    with_retry_notify(retries, seed, |_| {}, op)
 }
 
-/// [`with_retry`] with a per-retry observer: `on_retry(attempt)` fires
+/// [`with_retry`] with a per-retry hook: `on_retry(attempt)` fires
 /// just before each re-attempt (attempt ≥ 1), which is where the uploader
 /// hangs its flight-recorder [`EventKind::UploadRetried`] events — the
 /// counter tells *how many*, the recorder tells *when and which shard*.
-pub(crate) fn with_retry_observed<T>(
+pub(crate) fn with_retry_notify<T>(
     retries: &Counter,
     seed: u64,
     mut on_retry: impl FnMut(u32),
@@ -447,7 +448,7 @@ impl Uploader {
                 m.queue_depth.dec();
                 match job {
                     Job::Segment { shard, seq, bytes } => {
-                        match with_retry_observed(&m.retries, shard as u64, retried(shard), || {
+                        match with_retry_notify(&m.retries, shard as u64, retried(shard), || {
                             store.put_wal_segment(shard, seq, &bytes)
                         }) {
                             Ok(()) => {
@@ -459,22 +460,28 @@ impl Uploader {
                         }
                     }
                     Job::Frame { shard, seq, bytes } => {
-                        match with_retry_observed(&m.retries, shard as u64, retried(shard), || {
+                        match with_retry_notify(&m.retries, shard as u64, retried(shard), || {
                             store.put_frame(shard, seq, &bytes)
                         }) {
                             Ok(()) => {
+                                // Log-sampled like overload sheds: one
+                                // frame per interval per shard would fill
+                                // the ring. This thread is the only writer.
+                                let before = m.frames_written.get();
                                 m.frames_written.inc();
                                 m.frame_bytes.inc_by(bytes.len() as u64);
                                 m.amplification.add_numerator(bytes.len() as u64);
-                                recorder.record(EventKind::CheckpointUploaded {
-                                    shard,
-                                    upload_seq: seq,
-                                    bytes: bytes.len() as u64,
-                                });
+                                if crosses_power_of_two(before, before + 1) {
+                                    recorder.record(EventKind::CheckpointUploaded {
+                                        shard,
+                                        upload_seq: seq,
+                                        bytes: bytes.len() as u64,
+                                    });
+                                }
                                 // Truncate only once the frame is durable:
                                 // if the frame had been lost, deleting the
                                 // log it supersedes would lose data.
-                                if with_retry_observed(
+                                if with_retry_notify(
                                     &m.retries,
                                     shard as u64,
                                     retried(shard),

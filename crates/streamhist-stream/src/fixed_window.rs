@@ -48,13 +48,14 @@ use streamhist_core::{
 /// use streamhist_stream::FixedWindowHistogram;
 ///
 /// // Paper §4.5 Example 1: window of 8, B = 2, δ = 1.
-/// let mut fw = FixedWindowHistogram::with_delta(8, 2, 1.0, 1.0);
+/// let mut fw = FixedWindowHistogram::builder(8, 2, 1.0).delta(1.0).build()?;
 /// for v in [100.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0] {
 ///     fw.push(v);
 /// }
 /// // Window is now 0,0,0,1,1,1,1,1 — the optimum splits after the zeros.
 /// let h = fw.histogram();
 /// assert_eq!(h.bucket_ends(), vec![2, 7]);
+/// # Ok::<(), streamhist_core::StreamhistError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct FixedWindowHistogram {
@@ -185,35 +186,6 @@ impl FixedWindowHistogram {
     #[must_use]
     pub fn new(capacity: usize, b: usize, eps: f64) -> Self {
         Self::builder(capacity, b, eps)
-            .build()
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Creates a summary with an explicit interval growth factor `delta`
-    /// (ABL-DELTA ablation; the paper's Example 1 uses `delta = 1`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`, `b == 0`, `eps <= 0`, or `delta <= 0`.
-    #[must_use]
-    pub fn with_delta(capacity: usize, b: usize, eps: f64, delta: f64) -> Self {
-        Self::builder(capacity, b, eps)
-            .delta(delta)
-            .build()
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Overrides the prefix-sum rebase period (ABL-REBASE ablation; the
-    /// paper rebases every `n` pushes).
-    ///
-    /// # Panics
-    ///
-    /// Panics on the same conditions as [`Self::new`] or if
-    /// `rebase_period == 0`.
-    #[must_use]
-    pub fn with_rebase_period(capacity: usize, b: usize, eps: f64, rebase_period: usize) -> Self {
-        Self::builder(capacity, b, eps)
-            .rebase_period(rebase_period)
             .build()
             .unwrap_or_else(|e| panic!("{e}"))
     }
@@ -609,7 +581,10 @@ mod tests {
     /// structure and final histogram against the worked values.
     #[test]
     fn paper_example_1_interval_structure() {
-        let mut fw = FixedWindowHistogram::with_delta(8, 2, 1.0, 1.0);
+        let mut fw = FixedWindowHistogram::builder(8, 2, 1.0)
+            .delta(1.0)
+            .build()
+            .unwrap();
         for v in [100.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0] {
             fw.push(v);
         }
@@ -732,7 +707,10 @@ mod tests {
     fn rebase_period_does_not_change_results_and_is_counted() {
         let data: Vec<f64> = (0..150).map(|i| ((i * 11 + 3) % 19) as f64).collect();
         let mut a = FixedWindowHistogram::new(32, 3, 0.2);
-        let mut b = FixedWindowHistogram::with_rebase_period(32, 3, 0.2, 5);
+        let mut b = FixedWindowHistogram::builder(32, 3, 0.2)
+            .rebase_period(5)
+            .build()
+            .unwrap();
         for &v in &data {
             let ha = a.push_and_build(v);
             let hb = b.push_and_build(v);
@@ -826,7 +804,10 @@ mod tests {
 
     #[test]
     fn reset_restores_fresh_state_and_keeps_config() {
-        let mut fw = FixedWindowHistogram::with_rebase_period(8, 3, 0.2, 4);
+        let mut fw = FixedWindowHistogram::builder(8, 3, 0.2)
+            .rebase_period(4)
+            .build()
+            .unwrap();
         fw.push_batch(&[1.0, 2.0, 3.0, 4.0, 5.0]);
         let before = fw.histogram();
         assert_eq!(before.domain_len(), 5);
@@ -835,7 +816,10 @@ mod tests {
         assert_eq!(fw.total_pushed(), 0);
         assert_eq!(fw.histogram().domain_len(), 0);
         // Refilling after reset behaves exactly like a fresh instance.
-        let mut fresh = FixedWindowHistogram::with_rebase_period(8, 3, 0.2, 4);
+        let mut fresh = FixedWindowHistogram::builder(8, 3, 0.2)
+            .rebase_period(4)
+            .build()
+            .unwrap();
         let data: Vec<f64> = (0..20).map(|i| ((i * 5 + 1) % 9) as f64).collect();
         fw.push_batch(&data);
         fresh.push_batch(&data);
@@ -886,7 +870,13 @@ mod tests {
         for (other, param) in [
             (FixedWindowHistogram::new(8, 4, 0.2), "b"),
             (FixedWindowHistogram::new(8, 3, 0.3), "eps"),
-            (FixedWindowHistogram::with_delta(8, 3, 0.2, 1.0), "delta"),
+            (
+                FixedWindowHistogram::builder(8, 3, 0.2)
+                    .delta(1.0)
+                    .build()
+                    .unwrap(),
+                "delta",
+            ),
         ] {
             let mut a = base();
             let err = a.merge_from(&other).expect_err("mismatch");

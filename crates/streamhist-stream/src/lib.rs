@@ -92,8 +92,7 @@ pub use sharded::{
 };
 pub use streamhist_core::{BatchOutcome, Checkpoint, MergeableSummary, StreamSummary};
 pub use supervisor::{
-    ShardHealth, ShardState, Supervisor, SupervisorEvent, SupervisorHandle, SupervisorMetrics,
-    SupervisorOptions,
+    ShardHealth, ShardState, Supervisor, SupervisorHandle, SupervisorMetrics, SupervisorOptions,
 };
 pub use time_window::{TimeWindowBuilder, TimeWindowHistogram};
 

@@ -31,7 +31,7 @@ use std::io;
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Duration;
 use streamhist_core::{Histogram, StreamhistError};
-use streamhist_obs::FlightRecorder;
+use streamhist_obs::{FlightRecorder, MetricsRegistry};
 
 /// A cloneable, thread-safe handle to a sharded fleet, exposing the
 /// query/snapshot surface under a read lock and the admin surface under a
@@ -101,6 +101,12 @@ impl FleetHandle {
     #[must_use]
     pub fn recorder(&self) -> Arc<FlightRecorder> {
         Arc::clone(self.read().recorder())
+    }
+
+    /// The fleet's registry and `fleet` label, cloned, if it was built
+    /// with one.
+    pub(crate) fn registry(&self) -> Option<(Arc<MetricsRegistry>, String)> {
+        self.read().registry().cloned()
     }
 
     /// Routes one record to its key's shard

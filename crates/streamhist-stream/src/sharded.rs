@@ -61,6 +61,7 @@ use crate::durability::{
 use crate::fixed_window::FixedWindowHistogram;
 use crate::kernel::{KernelStats, SnapshotCache};
 use crate::merge::merge_histograms;
+use crate::telemetry::crosses_power_of_two;
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -626,6 +627,10 @@ pub struct ShardedFixedWindow {
     /// [`recorder`](ShardedFixedWindowBuilder::recorder) gets a private
     /// default-capacity ring.
     recorder: Arc<FlightRecorder>,
+    /// The registry and `fleet` label the fleet's series were registered
+    /// under, when built with [`registry`](ShardedFixedWindowBuilder::registry);
+    /// a supervisor attached to the fleet registers its series beside them.
+    registry: Option<(Arc<MetricsRegistry>, String)>,
     /// The kernel tracer worker threads self-install (thread-scoped), when
     /// the fleet was built with
     /// [`kernel_tracer`](ShardedFixedWindowBuilder::kernel_tracer).
@@ -796,6 +801,11 @@ impl ShardedFixedWindow {
         &self.recorder
     }
 
+    /// The registry and `fleet` label the fleet was built with, if any.
+    pub(crate) fn registry(&self) -> Option<&(Arc<MetricsRegistry>, String)> {
+        self.registry.as_ref()
+    }
+
     /// The shard a key routes to (Fibonacci hash of the key, so adjacent
     /// keys spread across shards).
     #[must_use]
@@ -821,19 +831,14 @@ impl ShardedFixedWindow {
                 Err(TrySendError::Full(_)) => {
                     s.metrics.queue_depth.dec();
                     // Log-sampled flight-recorder event: one record per
-                    // power-of-two cumulative drop count, so a sustained
-                    // overload cannot flood the ring while the first shed
-                    // and every doubling are still on the timeline. The
-                    // counter has concurrent writers, so a racing producer
-                    // may claim the same power twice — acceptable for a
-                    // sampled signal (the exact total is the counter).
+                    // power-of-two cumulative drop count. The counter has
+                    // concurrent writers, so a racing producer may claim
+                    // the same power twice — acceptable for a sampled
+                    // signal (the exact total is the counter).
                     let before = s.metrics.records_dropped.get();
                     s.metrics.records_dropped.inc_by(records);
                     let after = before.saturating_add(records);
-                    let next_pow = before
-                        .checked_add(1)
-                        .map_or(u64::MAX, u64::next_power_of_two);
-                    if next_pow <= after {
+                    if crosses_power_of_two(before, after) {
                         self.recorder.record(EventKind::Overloaded {
                             shard: Some(shard),
                             dropped: after,
@@ -1809,28 +1814,27 @@ impl ShardedFixedWindowBuilder {
         // The fleet label defaults to a process-unique value: two fleets
         // registering into one registry must get distinct series, or
         // their counter handles would silently alias the same cells.
-        let fleet_label = self.registry.as_ref().map(|_| {
-            self.fleet.clone().unwrap_or_else(|| {
+        let registry = self.registry.map(|registry| {
+            let label = self.fleet.unwrap_or_else(|| {
                 static NEXT_FLEET: AtomicU64 = AtomicU64::new(0);
                 format!("fleet{}", NEXT_FLEET.fetch_add(1, Ordering::Relaxed))
-            })
+            });
+            (registry, label)
         });
         #[cfg(feature = "obs")]
-        let timing = self
-            .registry
+        let timing = registry
             .as_ref()
-            .zip(fleet_label.as_deref())
             .map(|(reg, fleet)| Arc::new(FleetTiming::register(reg, fleet)));
-        let merge_metrics = match (&self.registry, &fleet_label) {
-            (Some(reg), Some(fleet)) => MergeMetricsInner::registered(reg, fleet),
-            _ => MergeMetricsInner::default(),
+        let merge_metrics = match &registry {
+            Some((reg, fleet)) => MergeMetricsInner::registered(reg, fleet),
+            None => MergeMetricsInner::default(),
         };
         // The recorder exists before the durability pipeline: the uploader
         // thread starts recording upload events the moment it spawns.
         let recorder = self.recorder.unwrap_or_default();
-        let wal_metrics = match (&self.registry, &fleet_label) {
-            (Some(reg), Some(fleet)) => Arc::new(WalMetricsInner::registered(reg, fleet)),
-            _ => Arc::new(WalMetricsInner::default()),
+        let wal_metrics = match &registry {
+            Some((reg, fleet)) => Arc::new(WalMetricsInner::registered(reg, fleet)),
+            None => Arc::new(WalMetricsInner::default()),
         };
         let durability = FleetDurability::new(durability, wal_metrics, Arc::clone(&recorder));
         let mut this = ShardedFixedWindow {
@@ -1844,15 +1848,16 @@ impl ShardedFixedWindowBuilder {
             global_cache: SnapshotCache::default(),
             merge_metrics,
             recorder,
+            registry,
             #[cfg(feature = "obs")]
             kernel_tracer: self.kernel_tracer,
             durability,
         };
         for shard in 0..self.shards {
             #[allow(unused_mut)]
-            let mut inner = match (&self.registry, &fleet_label) {
-                (Some(reg), Some(fleet)) => MetricsInner::registered(reg, fleet, shard),
-                _ => MetricsInner::default(),
+            let mut inner = match &this.registry {
+                Some((reg, fleet)) => MetricsInner::registered(reg, fleet, shard),
+                None => MetricsInner::default(),
             };
             #[cfg(feature = "obs")]
             {
@@ -2862,5 +2867,43 @@ mod tests {
             summaries[0].total_pushed() + lost,
             "conservation: accepted == total_pushed + sum of lost"
         );
+    }
+
+    #[test]
+    fn upload_events_are_log_sampled_so_lifecycle_events_survive() {
+        // A 16-slot ring holds one lifecycle event; then one shard ingests
+        // 100 checkpoint intervals. Only the uploads at power-of-two frame
+        // counts (1, 2, 4, ..., 64) are recorded, so the death stays on
+        // the tape instead of being evicted by 100 upload events.
+        let recorder = Arc::new(FlightRecorder::with_capacity(16));
+        recorder.record(EventKind::ShardDied { shard: 0 });
+        let fleet = ShardedFixedWindow::builder(1, 32, 2, 0.5)
+            .recorder(Arc::clone(&recorder))
+            .durability(DurabilityOptions::default().checkpoint_interval(8))
+            .build()
+            .expect("valid fleet");
+        for slab in 0..100 {
+            fleet
+                .push_batch(0, (0..8).map(|i| f64::from(slab + i)).collect())
+                .expect("alive");
+        }
+        let _ = fleet.snapshot(0).expect("barrier");
+        fleet.flush_wal();
+        assert_eq!(fleet.wal_status().frames_written, 100);
+        let tape = recorder.all_events();
+        assert!(
+            tape.iter()
+                .any(|e| e.kind == EventKind::ShardDied { shard: 0 }),
+            "{tape:?}"
+        );
+        let uploads = tape
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::CheckpointUploaded { .. }))
+            .count();
+        assert!(
+            (1..=8).contains(&uploads),
+            "ceil(log2 100) + 1 = 8: {tape:?}"
+        );
+        let _ = joined_ok(fleet);
     }
 }

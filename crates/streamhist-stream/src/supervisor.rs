@@ -39,18 +39,17 @@
 //!
 //! Everything the background thread does is also available synchronously:
 //! [`Supervisor::probe_once`] runs one full probe pass and returns the
-//! transitions it made, which is how the chaos tests drive the state
+//! events it recorded, which is how the chaos tests drive the state
 //! machine deterministically (no thread, no timing races).
 
 use crate::serve::FleetHandle;
-use crate::sharded::RecoveryReport;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use streamhist_core::StreamhistError;
-use streamhist_obs::{Counter, EventKind, FlightRecorder, Gauge, MetricsRegistry};
+use streamhist_obs::{Counter, EventKind, FlightRecorder, Gauge, HealthStatus, MetricsRegistry};
 
 /// Where a shard sits in the supervisor's state machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -200,49 +199,6 @@ pub struct ShardHealth {
     pub restarts: u64,
 }
 
-/// A state transition made by one probe pass — returned by
-/// [`Supervisor::probe_once`] so tests can assert the exact sequence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SupervisorEvent {
-    /// A live/recovering shard failed its probe.
-    Died {
-        /// Shard index.
-        shard: usize,
-    },
-    /// A dead shard was respawned through store-backed recovery.
-    Restarted {
-        /// Shard index.
-        shard: usize,
-        /// The recovery path's own report.
-        report: RecoveryReport,
-    },
-    /// A dead shard's restart was deferred: the token bucket is empty.
-    RestartDeferred {
-        /// Shard index.
-        shard: usize,
-    },
-    /// A shard crossed the consecutive-failure threshold.
-    Quarantined {
-        /// Shard index.
-        shard: usize,
-    },
-    /// A quarantined shard's backoff elapsed and it got its probation
-    /// restart.
-    Probation {
-        /// Shard index.
-        shard: usize,
-        /// The recovery path's own report — probation restarts lose
-        /// records exactly like ordinary restarts, and the chaos sweeps
-        /// account for both.
-        report: RecoveryReport,
-    },
-    /// A recovering shard answered a probe and is live again.
-    Recovered {
-        /// Shard index.
-        shard: usize,
-    },
-}
-
 /// Supervisor counters, `streamhist_supervisor_*{fleet}` when registered.
 #[derive(Default)]
 struct SupervisorMetricsInner {
@@ -341,10 +297,10 @@ struct SupervisorInner {
     control: Mutex<ControlState>,
     stop: AtomicBool,
     metrics: SupervisorMetricsInner,
-    /// The fleet's flight recorder, cloned at attach time: every state
-    /// transition a probe pass makes is recorded exactly once, at the
-    /// pass's single exit — the chaos suite reconstructs whole sweeps
-    /// from this timeline alone.
+    /// The fleet's flight recorder, cloned at attach time: every event a
+    /// probe pass makes is recorded exactly once, at the pass's single
+    /// exit — the chaos suite reconstructs whole sweeps from this
+    /// timeline alone.
     recorder: Arc<FlightRecorder>,
 }
 
@@ -369,8 +325,9 @@ impl SupervisorInner {
     }
 
     /// Restarts `shard` through the fleet's store-backed recovery path,
-    /// spending one token (the caller has checked one is available).
-    fn restart(&self, control: &mut ControlState, shard: usize) -> Option<RecoveryReport> {
+    /// spending one token (the caller has checked one is available), and
+    /// returns the `ShardRestarted` event carrying the recovery report.
+    fn restart(&self, control: &mut ControlState, shard: usize) -> Option<EventKind> {
         control.tokens -= 1.0;
         // The shard index came from our own iteration bounds, so the only
         // error `respawn_shard` can return (out of range) cannot happen.
@@ -384,12 +341,16 @@ impl SupervisorInner {
         self.metrics
             .records_lost
             .inc_by(report.lost_since_checkpoint);
-        Some(report)
+        Some(EventKind::ShardRestarted {
+            shard,
+            restored_len: report.restored_len,
+            lost: report.lost_since_checkpoint,
+        })
     }
 
     /// One full probe pass over every shard. See
     /// [`Supervisor::probe_once`].
-    fn probe_once(&self) -> Vec<SupervisorEvent> {
+    fn probe_once(&self) -> Vec<EventKind> {
         let mut events = Vec::new();
         let shards = self.fleet.shards();
         let mut control = self.control();
@@ -409,7 +370,7 @@ impl SupervisorInner {
                     if alive {
                         if c.state == ShardState::Recovering {
                             c.state = ShardState::Live;
-                            events.push(SupervisorEvent::Recovered { shard });
+                            events.push(EventKind::ShardRecovered { shard });
                         }
                         let outlived_flap = self.options.flap_window.is_zero()
                             || c.last_restart
@@ -421,24 +382,22 @@ impl SupervisorInner {
                         self.metrics.deaths.inc();
                         c.state = ShardState::Dead;
                         c.consecutive_failures += 1;
-                        events.push(SupervisorEvent::Died { shard });
+                        events.push(EventKind::ShardDied { shard });
                         // Fall through to the Dead arm's restart decision
                         // in this same pass, so MTTR is one probe cycle,
                         // not two.
-                        events.extend(self.decide_dead(&mut control, shard));
+                        self.decide_dead(&mut control, shard, &mut events);
                     }
                 }
-                ShardState::Dead => {
-                    events.extend(self.decide_dead(&mut control, shard));
-                }
+                ShardState::Dead => self.decide_dead(&mut control, shard, &mut events),
                 ShardState::Quarantined => {
                     let elapsed = control.shards[shard]
                         .quarantined_at
                         .is_none_or(|t| t.elapsed() >= self.options.quarantine_backoff);
                     if elapsed && control.tokens >= 1.0 {
-                        if let Some(report) = self.restart(&mut control, shard) {
+                        if let Some(restarted) = self.restart(&mut control, shard) {
                             self.metrics.probations.inc();
-                            events.push(SupervisorEvent::Probation { shard, report });
+                            events.extend([EventKind::ShardProbation { shard }, restarted]);
                         }
                     }
                 }
@@ -455,43 +414,28 @@ impl SupervisorInner {
                 });
         self.metrics.shards_live.set(live);
         self.metrics.shards_quarantined.set(quarantined);
-        // Flight-record every transition at the pass's single exit — one
-        // recorder event per SupervisorEvent, in the order the pass made
-        // them, so the chaos suite can replay a whole sweep from the ring.
+        // Flight-record every transition at the pass's single exit, in the
+        // order the pass made them, so the chaos suite can replay a whole
+        // sweep from the ring.
         for event in &events {
-            self.recorder.record(match *event {
-                SupervisorEvent::Died { shard } => EventKind::ShardDied { shard },
-                SupervisorEvent::Restarted { shard, report } => EventKind::ShardRestarted {
-                    shard,
-                    restored_len: report.restored_len,
-                    lost: report.lost_since_checkpoint,
-                },
-                SupervisorEvent::RestartDeferred { shard } => EventKind::RestartDeferred { shard },
-                SupervisorEvent::Quarantined { shard } => EventKind::ShardQuarantined { shard },
-                SupervisorEvent::Probation { shard, .. } => EventKind::ShardProbation { shard },
-                SupervisorEvent::Recovered { shard } => EventKind::ShardRecovered { shard },
-            });
+            self.recorder.record(event.clone());
         }
         events
     }
 
     /// The restart-or-quarantine decision for a shard in the Dead state.
-    fn decide_dead(&self, control: &mut ControlState, shard: usize) -> Vec<SupervisorEvent> {
+    fn decide_dead(&self, control: &mut ControlState, shard: usize, events: &mut Vec<EventKind>) {
         let c = &mut control.shards[shard];
         if c.consecutive_failures >= u64::from(self.options.quarantine_after) {
             c.state = ShardState::Quarantined;
             c.quarantined_at = Some(Instant::now());
             self.metrics.quarantines.inc();
-            return vec![SupervisorEvent::Quarantined { shard }];
-        }
-        if control.tokens >= 1.0 {
-            match self.restart(control, shard) {
-                Some(report) => vec![SupervisorEvent::Restarted { shard, report }],
-                None => Vec::new(),
-            }
+            events.push(EventKind::ShardQuarantined { shard });
+        } else if control.tokens >= 1.0 {
+            events.extend(self.restart(control, shard));
         } else {
             self.metrics.restarts_deferred.inc();
-            vec![SupervisorEvent::RestartDeferred { shard }]
+            events.push(EventKind::RestartDeferred { shard });
         }
     }
 
@@ -542,6 +486,21 @@ impl SupervisorHandle {
     pub fn metrics(&self) -> SupervisorMetrics {
         self.inner.metrics()
     }
+
+    /// The `/healthz` answer: healthy iff every shard is Live, summarized
+    /// as one `shardN=state` word per shard.
+    #[must_use]
+    pub fn health_status(&self) -> HealthStatus {
+        let shards = self.health();
+        HealthStatus {
+            healthy: shards.iter().all(|h| h.state == ShardState::Live),
+            summary: shards
+                .iter()
+                .map(|h| format!("shard{}={}", h.shard, h.state))
+                .collect::<Vec<_>>()
+                .join(" "),
+        }
+    }
 }
 
 impl fmt::Debug for SupervisorHandle {
@@ -571,34 +530,15 @@ pub struct Supervisor {
 impl Supervisor {
     /// Creates a supervisor over `fleet` without spawning the probe
     /// thread; drive it manually with [`probe_once`](Self::probe_once).
+    /// Its `streamhist_supervisor_*{fleet}` series are registered into the
+    /// registry and `fleet` label the fleet was built with
+    /// ([`ShardedFixedWindowBuilder::registry`](crate::ShardedFixedWindowBuilder::registry));
+    /// a fleet built without a registry gets unregistered counters.
     ///
     /// # Errors
     ///
     /// [`StreamhistError::InvalidParameter`] for out-of-range options.
     pub fn attach(fleet: FleetHandle, options: SupervisorOptions) -> Result<Self, StreamhistError> {
-        Self::build(fleet, options, None)
-    }
-
-    /// [`attach`](Self::attach), registering
-    /// `streamhist_supervisor_*{fleet}` series into `registry`.
-    ///
-    /// # Errors
-    ///
-    /// [`StreamhistError::InvalidParameter`] for out-of-range options.
-    pub fn attach_with_metrics(
-        fleet: FleetHandle,
-        options: SupervisorOptions,
-        registry: &MetricsRegistry,
-        fleet_label: &str,
-    ) -> Result<Self, StreamhistError> {
-        Self::build(fleet, options, Some((registry, fleet_label)))
-    }
-
-    fn build(
-        fleet: FleetHandle,
-        options: SupervisorOptions,
-        registry: Option<(&MetricsRegistry, &str)>,
-    ) -> Result<Self, StreamhistError> {
         options.validate()?;
         let shards = (0..fleet.shards())
             .map(|_| ShardControl {
@@ -609,8 +549,8 @@ impl Supervisor {
                 quarantined_at: None,
             })
             .collect();
-        let metrics = match registry {
-            Some((reg, label)) => SupervisorMetricsInner::registered(reg, label),
+        let metrics = match fleet.registry() {
+            Some((registry, label)) => SupervisorMetricsInner::registered(&registry, &label),
             None => SupervisorMetricsInner::default(),
         };
         let recorder = fleet.recorder();
@@ -646,22 +586,6 @@ impl Supervisor {
         Ok(this)
     }
 
-    /// [`start`](Self::start) with registered metrics.
-    ///
-    /// # Errors
-    ///
-    /// [`StreamhistError::InvalidParameter`] for out-of-range options.
-    pub fn start_with_metrics(
-        fleet: FleetHandle,
-        options: SupervisorOptions,
-        registry: &MetricsRegistry,
-        fleet_label: &str,
-    ) -> Result<Self, StreamhistError> {
-        let mut this = Self::attach_with_metrics(fleet, options, registry, fleet_label)?;
-        this.spawn_probe_thread();
-        Ok(this)
-    }
-
     fn spawn_probe_thread(&mut self) {
         let inner = Arc::clone(&self.inner);
         let handle = std::thread::Builder::new()
@@ -677,10 +601,12 @@ impl Supervisor {
     }
 
     /// Runs one synchronous probe pass over every shard and returns the
-    /// transitions it made (empty when all is well). Safe to call
-    /// concurrently with a running probe thread — passes serialize on the
-    /// control mutex.
-    pub fn probe_once(&self) -> Vec<SupervisorEvent> {
+    /// events it recorded into the fleet's flight recorder, in order
+    /// (empty when all is well). A restart, probation included, is a
+    /// [`EventKind::ShardRestarted`] carrying its recovery report. Safe to
+    /// call concurrently with a running probe thread — passes serialize
+    /// on the control mutex.
+    pub fn probe_once(&self) -> Vec<EventKind> {
         self.inner.probe_once()
     }
 
@@ -790,6 +716,29 @@ mod tests {
     }
 
     #[test]
+    fn supervisor_series_land_in_the_fleets_registry_under_its_label() {
+        let registry = Arc::new(MetricsRegistry::new());
+        let f = FleetHandle::new(
+            ShardedFixedWindow::builder(2, 32, 2, 0.5)
+                .registry(Arc::clone(&registry))
+                .fleet_label("sup")
+                .build()
+                .unwrap(),
+        );
+        let sup = Supervisor::attach(f, chaos_options()).unwrap();
+        sup.probe_once();
+        let text = registry.text_exposition();
+        assert!(
+            text.contains("streamhist_supervisor_probes_total{fleet=\"sup\"} 2"),
+            "{text}"
+        );
+        assert!(
+            text.contains("streamhist_supervisor_shards_live{fleet=\"sup\"} 2"),
+            "{text}"
+        );
+    }
+
+    #[test]
     fn healthy_fleet_probes_clean() {
         let f = fleet(3);
         let sup = Supervisor::attach(f, chaos_options()).unwrap();
@@ -811,19 +760,19 @@ mod tests {
         // dequeues the panic, which the ping round-trip forces.
         let events = sup.probe_once();
         assert!(
-            events.contains(&SupervisorEvent::Died { shard: 1 }),
+            events.contains(&EventKind::ShardDied { shard: 1 }),
             "{events:?}"
         );
         assert!(
             events
                 .iter()
-                .any(|e| matches!(e, SupervisorEvent::Restarted { shard: 1, .. })),
+                .any(|e| matches!(e, EventKind::ShardRestarted { shard: 1, .. })),
             "{events:?}"
         );
         assert_eq!(sup.health()[1].state, ShardState::Recovering);
         let events = sup.probe_once();
         assert!(
-            events.contains(&SupervisorEvent::Recovered { shard: 1 }),
+            events.contains(&EventKind::ShardRecovered { shard: 1 }),
             "{events:?}"
         );
         assert_eq!(sup.health()[1].state, ShardState::Live);
@@ -845,14 +794,14 @@ mod tests {
             assert!(
                 events
                     .iter()
-                    .any(|e| matches!(e, SupervisorEvent::Restarted { shard: 0, .. })),
+                    .any(|e| matches!(e, EventKind::ShardRestarted { shard: 0, .. })),
                 "{events:?}"
             );
         }
         f.inject_worker_panic(0).unwrap().unwrap();
         let events = sup.probe_once();
         assert!(
-            events.contains(&SupervisorEvent::Quarantined { shard: 0 }),
+            events.contains(&EventKind::ShardQuarantined { shard: 0 }),
             "{events:?}"
         );
         assert_eq!(sup.health()[0].state, ShardState::Quarantined);
@@ -861,18 +810,23 @@ mod tests {
         for i in 0..30u64 {
             let _ = f.push(i, 1.0);
         }
-        // Probation: backoff is zero, so the next pass restarts it.
+        // Probation: backoff is zero, so the next pass restarts it, and
+        // the restart carries its recovery report like any other.
         let events = sup.probe_once();
         assert!(
-            events
-                .iter()
-                .any(|e| matches!(e, SupervisorEvent::Probation { shard: 0, .. })),
+            matches!(
+                events.as_slice(),
+                [
+                    EventKind::ShardProbation { shard: 0 },
+                    EventKind::ShardRestarted { shard: 0, .. }
+                ]
+            ),
             "{events:?}"
         );
         assert_eq!(sup.health()[0].state, ShardState::Recovering);
         let events = sup.probe_once();
         assert!(
-            events.contains(&SupervisorEvent::Recovered { shard: 0 }),
+            events.contains(&EventKind::ShardRecovered { shard: 0 }),
             "{events:?}"
         );
     }
@@ -895,14 +849,14 @@ mod tests {
         assert!(
             events
                 .iter()
-                .any(|e| matches!(e, SupervisorEvent::Restarted { shard: 0, .. })),
+                .any(|e| matches!(e, EventKind::ShardRestarted { shard: 0, .. })),
             "{events:?}"
         );
         let _ = sup.probe_once(); // Recovering -> Live
         f.inject_worker_panic(0).unwrap().unwrap();
         let events = sup.probe_once();
         assert!(
-            events.contains(&SupervisorEvent::RestartDeferred { shard: 0 }),
+            events.contains(&EventKind::RestartDeferred { shard: 0 }),
             "{events:?}"
         );
         assert_eq!(sup.health()[0].state, ShardState::Dead);

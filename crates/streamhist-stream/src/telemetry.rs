@@ -114,6 +114,18 @@ pub fn publish_kernel_stats(
         .set(clamp(stats.rebases));
 }
 
+/// The sampling rule for high-rate flight-recorder events: `true` when a
+/// cumulative count moving from `before` to `after` reaches or passes a
+/// power of two. The first event and every doubling land on the tape, so
+/// a sustained stream of them cannot evict the rarer lifecycle events;
+/// the exact total stays in the counter the count comes from.
+pub(crate) fn crosses_power_of_two(before: u64, after: u64) -> bool {
+    before
+        .checked_add(1)
+        .map_or(u64::MAX, u64::next_power_of_two)
+        <= after
+}
+
 #[cfg(feature = "obs")]
 pub use tracing::{set_thread_kernel_tracer, KernelTracer};
 

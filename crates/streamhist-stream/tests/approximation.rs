@@ -176,7 +176,10 @@ fn fixed_window_survives_level_shifts() {
 #[test]
 fn example1_downward_shift_reintervalization() {
     let stream = [100.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0];
-    let mut fw = FixedWindowHistogram::with_delta(8, 2, 1.0, 1.0);
+    let mut fw = FixedWindowHistogram::builder(8, 2, 1.0)
+        .delta(1.0)
+        .build()
+        .unwrap();
     for &v in &stream {
         fw.push(v);
     }

@@ -82,8 +82,14 @@ fn fixed_window_batch_straddles_rebase_boundaries() {
     let n = 48;
     let data = stream(0x5EED, 4 * n);
     for batch in [5, n - 1, n + 1, 2 * n + 3] {
-        let mut seq = FixedWindowHistogram::with_rebase_period(n, 6, 0.2, 7);
-        let mut bat = FixedWindowHistogram::with_rebase_period(n, 6, 0.2, 7);
+        let mut seq = FixedWindowHistogram::builder(n, 6, 0.2)
+            .rebase_period(7)
+            .build()
+            .unwrap();
+        let mut bat = FixedWindowHistogram::builder(n, 6, 0.2)
+            .rebase_period(7)
+            .build()
+            .unwrap();
         for slab in data.chunks(batch) {
             for &v in slab {
                 seq.push(v);

@@ -361,7 +361,9 @@ fn supervised_fleet_recovers_under_concurrent_chaos() {
         .build()
         .expect("valid parameters");
     let handle = FleetHandle::new(fleet);
-    let sup = Supervisor::start_with_metrics(
+    // The supervisor's series land in the fleet's registry under its
+    // `supervised` label.
+    let sup = Supervisor::start(
         handle.clone(),
         SupervisorOptions {
             probe_interval: Duration::from_millis(1),
@@ -375,8 +377,6 @@ fn supervised_fleet_recovers_under_concurrent_chaos() {
             quarantine_backoff: Duration::ZERO,
             flap_window: Duration::ZERO,
         },
-        &registry,
-        "supervised",
     )
     .expect("valid supervisor options");
 

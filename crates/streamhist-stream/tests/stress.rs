@@ -135,7 +135,10 @@ fn huge_delta_still_returns_valid_histograms() {
     // delta far above 1: queues collapse to very few intervals; the result
     // degrades gracefully but stays structurally valid.
     let data: Vec<f64> = (0..200).map(|i| ((i * 7) % 31) as f64).collect();
-    let mut fw = FixedWindowHistogram::with_delta(64, 4, 0.5, 100.0);
+    let mut fw = FixedWindowHistogram::builder(64, 4, 0.5)
+        .delta(100.0)
+        .build()
+        .unwrap();
     for &v in &data {
         fw.push(v);
     }

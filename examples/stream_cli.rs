@@ -74,7 +74,7 @@ use streamhist::obs::{
 use streamhist::serve::{QuantileMethod, QueryServer, Request, ServeClient, ServeState};
 use streamhist::{
     codec, Checkpoint, CheckpointStore, Coverage, DirStore, FixedWindowHistogram, FleetHandle,
-    ObjectKind, ShardState, ShardedFixedWindow, SnapshotPolicy, Supervisor, SupervisorHandle,
+    ObjectKind, ShardedFixedWindow, SnapshotPolicy, Supervisor, SupervisorHandle,
     SupervisorOptions,
 };
 
@@ -109,17 +109,7 @@ impl Telemetry {
         // no supervisor attached there is nothing to contradict liveness —
         // the process answering is the health signal.
         let health = Arc::new(move || match supervisor.lock().unwrap().as_ref() {
-            Some(handle) => {
-                let shards = handle.health();
-                HealthStatus {
-                    healthy: shards.iter().all(|h| h.state == ShardState::Live),
-                    summary: shards
-                        .iter()
-                        .map(|h| format!("shard{}={}", h.shard, h.state))
-                        .collect::<Vec<_>>()
-                        .join(" "),
-                }
-            }
+            Some(handle) => handle.health_status(),
             None => HealthStatus {
                 healthy: true,
                 summary: "unsupervised".to_owned(),
@@ -668,12 +658,7 @@ fn main() {
             // the serve policy degrades instead of failing, answering
             // from the live subset with an honest coverage report.
             let supervisor = if args.supervise {
-                match Supervisor::start_with_metrics(
-                    fleet,
-                    SupervisorOptions::default(),
-                    &registry,
-                    "cli",
-                ) {
+                match Supervisor::start(fleet, SupervisorOptions::default()) {
                     Ok(sup) => {
                         state = state
                             .with_policy(SnapshotPolicy::Degraded {

@@ -94,9 +94,8 @@ pub use streamhist_stream::{
     DurabilityOptions, FixedWindowBuilder, FixedWindowHistogram, FleetHandle, KernelStats,
     MergeMetrics, NaiveSlidingWindow, NaiveSlidingWindowBuilder, OverloadPolicy, RecoveryReport,
     ShardError, ShardHealth, ShardMetrics, ShardState, ShardedFixedWindow,
-    ShardedFixedWindowBuilder, ShardedOptions, SnapshotPolicy, Supervisor, SupervisorEvent,
-    SupervisorHandle, SupervisorMetrics, SupervisorOptions, TimeWindowBuilder, TimeWindowHistogram,
-    WalStatus,
+    ShardedFixedWindowBuilder, ShardedOptions, SnapshotPolicy, Supervisor, SupervisorHandle,
+    SupervisorMetrics, SupervisorOptions, TimeWindowBuilder, TimeWindowHistogram, WalStatus,
 };
 pub use streamhist_wavelet::{DynamicWavelet, SlidingWindowWavelet, WaveletSynopsis};
 

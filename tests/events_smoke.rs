@@ -19,12 +19,10 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 use streamhist::obs::{
-    EventKind, ExpositionOptions, ExpositionServer, FlightRecorder, HealthStatus, MetricsRegistry,
+    EventKind, ExpositionOptions, ExpositionServer, FlightRecorder, MetricsRegistry,
 };
 use streamhist::serve::{QueryServer, ServeClient, ServeState};
-use streamhist::{
-    FleetHandle, ShardState, ShardedFixedWindow, SnapshotPolicy, Supervisor, SupervisorOptions,
-};
+use streamhist::{FleetHandle, ShardedFixedWindow, SnapshotPolicy, Supervisor, SupervisorOptions};
 
 /// One blocking HTTP GET against the exposition server; returns
 /// `(status, body)`.
@@ -101,17 +99,7 @@ fn events_and_health_are_served_over_both_surfaces() {
         Arc::clone(&registry),
         ExpositionOptions {
             recorder: Some(Arc::clone(&recorder)),
-            health: Some(Arc::new(move || {
-                let shards = health_handle.health();
-                HealthStatus {
-                    healthy: shards.iter().all(|h| h.state == ShardState::Live),
-                    summary: shards
-                        .iter()
-                        .map(|h| format!("shard{}={}", h.shard, h.state))
-                        .collect::<Vec<_>>()
-                        .join(" "),
-                }
-            })),
+            health: Some(Arc::new(move || health_handle.health_status())),
         },
     )
     .expect("bind exposition");
@@ -121,6 +109,7 @@ fn events_and_health_are_served_over_both_surfaces() {
     sup.probe_once();
     let (status, body) = http_get(expo_addr, "/healthz");
     assert_eq!(status, 200, "healthy fleet must answer 200: {body}");
+    assert_eq!(body, "ok shard0=live shard1=live\n");
 
     // Kill shard 1. The next probe records Died + Restarted; the shard
     // sits in Recovering until the probe after that, so /healthz must
@@ -131,7 +120,7 @@ fn events_and_health_are_served_over_both_surfaces() {
     assert_eq!(events.len(), 2, "one death, one restart: {events:?}");
     let (status, body) = http_get(expo_addr, "/healthz");
     assert_eq!(status, 503, "recovering fleet must answer 503");
-    assert!(body.contains("shard1=recovering"), "{body}");
+    assert_eq!(body, "shard0=live shard1=recovering\n");
     sup.probe_once();
     let (status, _) = http_get(expo_addr, "/healthz");
     assert_eq!(status, 200, "healed fleet must answer 200 again");

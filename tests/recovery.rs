@@ -31,8 +31,7 @@ use streamhist::{
     DynamicWavelet, FailingStore, FixedWindowHistogram, FleetHandle, GkSummary, Histogram,
     MemStore, MergeableSummary, MrlSummary, ObjectKind, ShardState, ShardedFixedWindow,
     SlidingWindowWavelet, SnapshotPolicy, StoreError, StreamSummary, StreamhistError,
-    StreamingEquiDepth, Supervisor, SupervisorEvent, SupervisorOptions, TimeWindowHistogram,
-    WalSegment,
+    StreamingEquiDepth, Supervisor, SupervisorOptions, TimeWindowHistogram, WalSegment,
 };
 
 /// Directory failing frames are dumped to (uploaded by CI on failure).
@@ -668,10 +667,10 @@ struct ModelShard {
     ever_restarted: bool,
 }
 
-/// Event shapes for sequence comparison ([`SupervisorEvent::Restarted`]
-/// and `Probation` carry a [`RecoveryReport`](streamhist::RecoveryReport)
-/// the model cannot predict; the reports are verified separately against
-/// the conservation identity).
+/// Supervisor event shapes for sequence comparison against the model
+/// (`ShardRestarted` carries a recovery report the model cannot predict;
+/// the reports are verified separately against the conservation
+/// identity).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EventShape {
     Died(usize),
@@ -682,14 +681,17 @@ enum EventShape {
     Recovered(usize),
 }
 
-fn shape(e: &SupervisorEvent) -> EventShape {
+/// The supervisor's events projected to their shapes; every other event
+/// on the tape (uploads, retries, degraded snapshots) maps to `None`.
+fn shape(e: &EventKind) -> Option<EventShape> {
     match *e {
-        SupervisorEvent::Died { shard } => EventShape::Died(shard),
-        SupervisorEvent::Restarted { shard, .. } => EventShape::Restarted(shard),
-        SupervisorEvent::RestartDeferred { shard } => EventShape::Deferred(shard),
-        SupervisorEvent::Quarantined { shard } => EventShape::Quarantined(shard),
-        SupervisorEvent::Probation { shard, .. } => EventShape::Probation(shard),
-        SupervisorEvent::Recovered { shard } => EventShape::Recovered(shard),
+        EventKind::ShardDied { shard } => Some(EventShape::Died(shard)),
+        EventKind::ShardRestarted { shard, .. } => Some(EventShape::Restarted(shard)),
+        EventKind::RestartDeferred { shard } => Some(EventShape::Deferred(shard)),
+        EventKind::ShardQuarantined { shard } => Some(EventShape::Quarantined(shard)),
+        EventKind::ShardProbation { shard } => Some(EventShape::Probation(shard)),
+        EventKind::ShardRecovered { shard } => Some(EventShape::Recovered(shard)),
+        _ => None,
     }
 }
 
@@ -737,12 +739,14 @@ fn model_probe(model: &mut [ModelShard]) -> Vec<EventShape> {
             }
             ModelState::Dead => model_decide_dead(m, shard, &mut out),
             ModelState::Quarantined => {
-                // Zero backoff and a full bucket: probation next pass.
+                // Zero backoff and a full bucket: probation next pass,
+                // recorded as the probation followed by its restart.
                 m.state = ModelState::Recovering;
                 m.worker_alive = true;
                 m.restarts += 1;
                 m.ever_restarted = true;
                 out.push(EventShape::Probation(shard));
+                out.push(EventShape::Restarted(shard));
             }
         }
     }
@@ -832,9 +836,9 @@ fn supervised_chaos_sweep() {
     let mut degraded_snapshots = 0u32;
     let mut partial_snapshots = 0u64;
     let mut quarantines_seen = 0u32;
-    // The model-predicted supervisor timeline, accumulated probe pass by
-    // probe pass; the flight recorder must replay it exactly at the end.
-    let mut expected_timeline: Vec<EventShape> = Vec::new();
+    // Every event `probe_once` returned, concatenated pass by pass; the
+    // flight recorder must hold exactly this sequence at the end.
+    let mut returned: Vec<EventKind> = Vec::new();
 
     // One probe pass plus full cross-checks: the event sequence matches
     // the model's, per-restart reports satisfy the conservation identity
@@ -843,33 +847,38 @@ fn supervised_chaos_sweep() {
         |sup: &Supervisor, model: &mut Vec<ModelShard>, lost: &mut [u64; SHARDS], step: usize| {
             let expected = model_probe(model);
             let events = sup.probe_once();
-            let got: Vec<EventShape> = events.iter().map(shape).collect();
+            let got: Vec<EventShape> = events
+                .iter()
+                .map(|e| shape(e).expect("a probe pass returns supervisor events only"))
+                .collect();
             assert_eq!(
                 got, expected,
                 "seed {seed} step {step}: probe pass diverged from the model"
             );
-            expected_timeline.extend_from_slice(&expected);
             for e in &events {
-                let (shard, report) = match *e {
-                    SupervisorEvent::Restarted { shard, report }
-                    | SupervisorEvent::Probation { shard, report } => (shard, report),
-                    SupervisorEvent::Quarantined { .. } => {
-                        quarantines_seen += 1;
-                        continue;
+                match *e {
+                    EventKind::ShardRestarted {
+                        shard,
+                        restored_len,
+                        lost: reported,
+                    } => {
+                        lost[shard] += reported;
+                        // At the instant of a restart nothing new has been
+                        // pushed, so the cumulative accepted counter must
+                        // equal what was restored plus everything ever
+                        // reported lost.
+                        let accepted = handle.metrics(shard).expect("valid index").pushes_accepted;
+                        assert_eq!(
+                            accepted,
+                            restored_len + lost[shard],
+                            "seed {seed} step {step} shard {shard}: report breaks conservation"
+                        );
                     }
-                    _ => continue,
-                };
-                lost[shard] += report.lost_since_checkpoint;
-                // At the instant of a restart nothing new has been pushed,
-                // so the cumulative accepted counter must equal what was
-                // restored plus everything ever reported lost.
-                let accepted = handle.metrics(shard).expect("valid index").pushes_accepted;
-                assert_eq!(
-                    accepted,
-                    report.restored_len + lost[shard],
-                    "seed {seed} step {step} shard {shard}: restart report breaks conservation"
-                );
+                    EventKind::ShardQuarantined { .. } => quarantines_seen += 1,
+                    _ => {}
+                }
             }
+            returned.extend(events);
             for (h, m) in sup.health().iter().zip(model.iter()) {
                 assert_eq!(
                     to_model(h.state),
@@ -1004,9 +1013,10 @@ fn supervised_chaos_sweep() {
     );
 
     // --- Flight-recorder reconstruction. The whole chaos run must be
-    // replayable from the recorder alone: every model-predicted
-    // Died/Restarted/Quarantined/Probation/Recovered transition appears
-    // exactly once, in sequence order, with matching shard indices.
+    // replayable from the recorder alone: the supervisor events on the
+    // tape are exactly what the probe passes returned, reports included,
+    // in sequence order — and every restart, probation included, is one
+    // `ShardRestarted` the restart counter saw.
     assert!(
         recorder.recorded() <= recorder.capacity() as u64,
         "seed {seed}: recorder overflowed ({} events into {} slots) — \
@@ -1019,22 +1029,23 @@ fn supervised_chaos_sweep() {
         tape.windows(2).all(|w| w[0].seq < w[1].seq),
         "seed {seed}: recorder tape must be strictly sequence-ordered"
     );
-    let replayed: Vec<EventShape> = tape
+    let replayed: Vec<EventKind> = tape
         .iter()
-        .filter_map(|e| match &e.kind {
-            EventKind::ShardDied { shard } => Some(EventShape::Died(*shard)),
-            EventKind::ShardRestarted { shard, .. } => Some(EventShape::Restarted(*shard)),
-            EventKind::RestartDeferred { shard } => Some(EventShape::Deferred(*shard)),
-            EventKind::ShardQuarantined { shard } => Some(EventShape::Quarantined(*shard)),
-            EventKind::ShardProbation { shard } => Some(EventShape::Probation(*shard)),
-            EventKind::ShardRecovered { shard } => Some(EventShape::Recovered(*shard)),
-            _ => None,
-        })
+        .filter(|e| shape(&e.kind).is_some())
+        .map(|e| e.kind.clone())
         .collect();
     assert_eq!(
-        replayed, expected_timeline,
-        "seed {seed}: the supervisor timeline replayed from the flight \
-         recorder diverged from the model's"
+        replayed, returned,
+        "seed {seed}: the supervisor events on the flight recorder must be \
+         exactly the concatenation of every probe_once() return"
+    );
+    let restarts = replayed
+        .iter()
+        .filter(|e| matches!(e, EventKind::ShardRestarted { .. }))
+        .count() as u64;
+    assert_eq!(
+        restarts, sm.restarts,
+        "seed {seed}: one ShardRestarted per counted restart"
     );
     // The durability pipeline and the degraded-serving path left their
     // own tracks on the same tape, interleaved with the supervisor's.
