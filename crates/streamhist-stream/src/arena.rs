@@ -20,6 +20,9 @@
 //! The queues collectively keep `O(B · q)` nodes live; the online algorithm
 //! triggers compaction generationally (when the arena has doubled since the
 //! last collection), keeping total footprint proportional to the live set.
+//! A batch build allocates only for the endpoints its binary searches keep
+//! (at most two nodes each, plus two for the final answer) and never
+//! compacts.
 
 use streamhist_core::{Bucket, Histogram, StreamhistError};
 

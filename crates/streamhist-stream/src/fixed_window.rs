@@ -701,6 +701,25 @@ mod tests {
         assert!(stats.arena_nodes > 0);
         assert_eq!(stats.arena_peak, stats.arena_nodes); // batch mode never compacts
         assert_eq!(stats.compactions, 0);
+        // Probes are value-only: chains exist only for kept endpoints and
+        // the top, at most two nodes each.
+        let endpoints: usize = stats.queue_sizes.iter().sum();
+        assert!(stats.arena_peak <= 2 * (endpoints + 1), "{stats:?}");
+    }
+
+    #[test]
+    fn batch_arena_holds_at_most_two_nodes_per_interval() {
+        let data = streamhist_data::utilization_trace(512, 42);
+        let mut fw = FixedWindowHistogram::new(512, 8, 0.1);
+        fw.push_batch(&data);
+        let (_, stats) = fw.histogram_with_stats();
+        let endpoints: usize = stats.queue_sizes.iter().sum();
+        assert!(
+            stats.arena_peak <= 2 * (endpoints + 1),
+            "arena peak {} over {} intervals",
+            stats.arena_peak,
+            endpoints
+        );
     }
 
     #[test]

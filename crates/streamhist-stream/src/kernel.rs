@@ -10,18 +10,26 @@
 //! [`PrefixProvider`] (absolute running totals for the whole-stream
 //! algorithm, rebased `SUM'`/`SQSUM'` stores for the window algorithms).
 //!
-//! Two driving modes share [`Kernel::herror_eval`]:
+//! Two driving modes share one candidate scan (`scan_endpoints`):
 //!
-//! * **online** ([`Kernel::push_point`]) — the agglomerative recurrence:
-//!   each arriving point evaluates every level at the newest index only,
-//!   seeding the minimization with the level-`(k−1)` value ("fewer buckets
-//!   are always admissible"), then extends-or-starts the tail interval of
-//!   each queue. Queues persist across pushes.
+//! * **online** ([`Kernel::push_point`], [`Kernel::herror_eval`]) — the
+//!   agglomerative recurrence: each arriving point evaluates every level at
+//!   the newest index only, seeding the minimization with the
+//!   level-`(k−1)` value ("fewer buckets are always admissible"), then
+//!   extends-or-starts the tail interval of each queue. Queues persist
+//!   across pushes, and each improving candidate is extended into a chain
+//!   as it is found.
 //! * **batch** ([`Kernel::build`]) — the fixed-window `CreateList`
 //!   procedure: queues are rebuilt per materialization by binary search
 //!   over the monotone `HERROR[·, k]`, and the minimization additionally
 //!   considers the single-bucket candidate and the clipped candidate of
-//!   the interval straddling the query position.
+//!   the interval straddling the query position. Probes are **value
+//!   only** ([`Kernel::herror_probe`]): each returns its minimum and a
+//!   [`Pick`] naming the winning candidate, and a chain is built
+//!   ([`Kernel::realize`]) once per binary search, for the endpoint it
+//!   keeps, plus once for the final level-`B` answer. A build's arena
+//!   therefore holds at most two nodes per interval (plus two for the
+//!   top), however many probes the searches make.
 //!
 //! Boundary chains live in a [`CutArena`] — flat, index-linked, `Send` —
 //! and the online mode reclaims dropped chains generationally via
@@ -56,6 +64,52 @@ pub(crate) struct Endpoint {
 pub(crate) struct Interval {
     pub start_herror: f64,
     pub end: Endpoint,
+}
+
+/// The candidate that attained a batch probe's minimum (see
+/// [`Kernel::herror_probe`]), carrying the chain it would extend so that
+/// [`Kernel::realize`] can build the boundary chain later.
+#[derive(Debug, Clone, Copy)]
+enum Pick {
+    /// The single bucket `[0, c]`.
+    Single,
+    /// The straddling endpoint's chain, to be clipped below `c − 1`.
+    Straddle(CutId),
+    /// A level-`k−1` endpoint's chain, to be extended by the bucket
+    /// `(e, c]`.
+    Extend(CutId),
+}
+
+/// The endpoint scan both modes share (candidates 3 of
+/// [`Kernel::herror_probe`]): walks `endpoints` (all before `c`)
+/// nearest-first, costing each as `HERROR[e, k−1] + SQERROR[e+1, c]`
+/// against the cumulative sums `(s_c, q_c)` at `c`. Lowers `best` and
+/// calls `improved` on every strict improvement; stops once the segment
+/// error alone reaches `best`.
+#[inline]
+fn scan_endpoints(
+    endpoints: &[Interval],
+    (s_c, q_c): (f64, f64),
+    c: usize,
+    best: &mut f64,
+    mut improved: impl FnMut(&Endpoint),
+) {
+    for iv in endpoints.iter().rev() {
+        let e = &iv.end;
+        debug_assert!(e.idx < c);
+        let len = (c - e.idx) as f64;
+        let s = s_c - e.sum;
+        let q = q_c - e.sqsum;
+        let sq = (q - s * s / len).max(0.0);
+        if sq >= *best {
+            break;
+        }
+        let val = e.herror + sq;
+        if val < *best {
+            *best = val;
+            improved(e);
+        }
+    }
 }
 
 /// Diagnostics for one kernel — cumulative since creation for the online
@@ -348,94 +402,107 @@ impl Kernel {
         }
     }
 
-    /// Approximate `HERROR[c, k]` (window-relative, 0-based `c`): the
-    /// minimum SSE of representing `[0, c]` with at most `k` buckets,
-    /// together with a boundary chain whose realized SSE never exceeds the
-    /// returned value.
+    /// Approximate `HERROR[c, k]` (window-relative, 0-based `c`) in online
+    /// mode: the minimum SSE of representing `[0, c]` with at most `k`
+    /// buckets, together with a boundary chain whose realized SSE never
+    /// exceeds the returned value.
     ///
-    /// Candidates, in evaluation order:
-    /// 1. the seed: either the caller-provided `init` (online mode passes
-    ///    the level-`(k−1)` value — fewer buckets are always admissible
-    ///    under at-most-B semantics) or, when `init` is `None` (batch
-    ///    mode), the single bucket `[0, c]` (the `i = −1` split);
-    /// 2. with `straddle` (batch mode only), for the first level-`k−1`
-    ///    interval whose endpoint is at or past `c` (the interval
-    ///    *straddling* the query position), the split `i = c−1`: its true
-    ///    `HERROR[c−1, k−1]` is not stored, but the queue invariant bounds
-    ///    it by the interval's endpoint error, and the final bucket `{c}`
-    ///    costs 0 — so `e.herror` itself is a sound upper-bound candidate.
-    ///    Its chain is the endpoint chain clipped below `c−1` (clipping a
-    ///    bucket to a sub-range cannot increase its SSE, so chain soundness
-    ///    is preserved). Without this candidate the approximation guarantee
-    ///    breaks whenever the true split falls inside a straddling
-    ///    interval, because candidates 3 stop one full interval short of
-    ///    `c`;
+    /// The minimization is seeded with the caller's `seed` — the
+    /// level-`(k−1)` value and chain at `c` (fewer buckets are always
+    /// admissible under at-most-B semantics) — and then scans the
+    /// level-`(k−1)` endpoints (candidates 3 of [`Self::herror_probe`]).
+    /// Every improving candidate is extended into a chain as it is found;
+    /// checkpoints carry the arena's occupancy counters, so this
+    /// allocation pattern is part of the online mode's persisted state.
+    pub fn herror_eval<P: PrefixProvider>(
+        &mut self,
+        p: &P,
+        c: usize,
+        k: usize,
+        seed: (f64, CutId),
+    ) -> (f64, CutId) {
+        self.evals += 1;
+        let (mut best, mut best_chain) = seed;
+        if k >= 2 {
+            let Self { queues, arena, .. } = self;
+            let queue = &queues[k - 2];
+            let sum0c = p.chain_sum(c);
+            // Every endpoint precedes the newest index, so this is the
+            // whole queue; searching keeps a restored state honest anyway.
+            let pp = queue.partition_point(|iv| iv.end.idx < c);
+            scan_endpoints(&queue[..pp], p.dp_sums(c), c, &mut best, |e| {
+                best_chain = arena.extend(e.chain, c, sum0c);
+            });
+        }
+        (best, best_chain)
+    }
+
+    /// Approximate `HERROR[c, k]` in batch mode, **value only**: the
+    /// minimum over the candidates below, plus a [`Pick`] naming the one
+    /// that attained it. No chain is built here; [`Self::realize`] builds
+    /// one from the pick, and [`Self::create_list`] calls it only for the
+    /// endpoint each binary search keeps.
+    ///
+    /// Candidates, in evaluation order (a later one wins only if strictly
+    /// smaller):
+    /// 1. the single bucket `[0, c]` (the `i = −1` split);
+    /// 2. for the first level-`k−1` interval whose endpoint is at or past
+    ///    `c` (the interval *straddling* the query position), the split
+    ///    `i = c−1`: its true `HERROR[c−1, k−1]` is not stored, but the
+    ///    queue invariant bounds it by the interval's endpoint error, and
+    ///    the final bucket `{c}` costs 0 — so `e.herror` itself is a sound
+    ///    upper-bound candidate. Its chain is the endpoint chain clipped
+    ///    below `c−1` (clipping a bucket to a sub-range cannot increase its
+    ///    SSE, so chain soundness is preserved). Without this candidate the
+    ///    approximation guarantee breaks whenever the true split falls
+    ///    inside a straddling interval, because candidates 3 stop one full
+    ///    interval short of `c`;
     /// 3. every level-`k−1` endpoint `e` with `e.idx < c`, costed as
     ///    `HERROR[e, k−1] + SQERROR[e+1, c]`, scanned nearest-first:
     ///    `SQERROR[e+1, c]` is non-increasing in `e.idx`, so once it alone
     ///    reaches the best value so far, every farther candidate is
     ///    provably no better and the scan stops without affecting the
     ///    computed minimum.
-    pub fn herror_eval<P: PrefixProvider>(
-        &mut self,
-        p: &P,
-        c: usize,
-        k: usize,
-        init: Option<(f64, CutId)>,
-        straddle: bool,
-    ) -> (f64, CutId) {
-        let Self {
-            queues,
-            arena,
-            evals,
-            ..
-        } = self;
-        *evals += 1;
-        let sum0c = p.chain_sum(c);
-        let (s_c, q_c) = p.dp_sums(c);
-        let (mut best, mut best_chain) = match init {
-            Some(seed) => seed,
-            None => (p.head_sqerror(c), arena.root(c, sum0c)),
-        };
+    fn herror_probe<P: PrefixProvider>(&mut self, p: &P, c: usize, k: usize) -> (f64, Pick) {
+        self.evals += 1;
+        let mut best = p.head_sqerror(c);
+        let mut pick = Pick::Single;
         if k >= 2 {
-            let queue = &queues[k - 2];
-            // Endpoints are sorted by index; pp = first endpoint at or past
-            // c (in online mode every endpoint precedes c, so pp = len).
+            let queue = &self.queues[k - 2];
+            // Endpoints are sorted by index; pp = first endpoint at or past c.
             let pp = queue.partition_point(|iv| iv.end.idx < c);
-            if straddle {
-                // Straddling interval (needs c >= 1; for c == 0 the
-                // single-bucket candidate is the whole search space).
-                if let Some(iv) = queue.get(pp) {
-                    let e = &iv.end;
-                    if c >= 1 && e.herror < best {
-                        best = e.herror;
-                        let sum_prev = p.chain_sum(c - 1);
-                        let clipped = match arena.truncate_below(e.chain, c - 1) {
-                            Some(t) => arena.extend(t, c - 1, sum_prev),
-                            None => arena.root(c - 1, sum_prev),
-                        };
-                        best_chain = arena.extend(clipped, c, sum0c);
-                    }
+            // The straddle needs c >= 1; for c == 0 the single bucket is
+            // the whole search space.
+            if let Some(iv) = queue.get(pp).filter(|_| c >= 1) {
+                if iv.end.herror < best {
+                    best = iv.end.herror;
+                    pick = Pick::Straddle(iv.end.chain);
                 }
             }
-            for iv in queue[..pp].iter().rev() {
-                let e = &iv.end;
-                debug_assert!(e.idx < c);
-                let len = (c - e.idx) as f64;
-                let s = s_c - e.sum;
-                let q = q_c - e.sqsum;
-                let sq = (q - s * s / len).max(0.0);
-                if sq >= best {
-                    break;
-                }
-                let val = e.herror + sq;
-                if val < best {
-                    best = val;
-                    best_chain = arena.extend(e.chain, c, sum0c);
-                }
+            scan_endpoints(&queue[..pp], p.dp_sums(c), c, &mut best, |e| {
+                pick = Pick::Extend(e.chain);
+            });
+        }
+        (best, pick)
+    }
+
+    /// Builds the boundary chain of a batch probe's winning candidate at
+    /// `c`: one node for [`Pick::Single`] and [`Pick::Extend`], two for
+    /// [`Pick::Straddle`].
+    fn realize<P: PrefixProvider>(&mut self, p: &P, c: usize, pick: Pick) -> CutId {
+        let sum0c = p.chain_sum(c);
+        match pick {
+            Pick::Single => self.arena.root(c, sum0c),
+            Pick::Extend(chain) => self.arena.extend(chain, c, sum0c),
+            Pick::Straddle(chain) => {
+                let sum_prev = p.chain_sum(c - 1);
+                let clipped = match self.arena.truncate_below(chain, c - 1) {
+                    Some(t) => self.arena.extend(t, c - 1, sum_prev),
+                    None => self.arena.root(c - 1, sum_prev),
+                };
+                self.arena.extend(clipped, c, sum0c)
             }
         }
-        (best, best_chain)
     }
 
     /// Online mode: consumes the newest point of `p` (index `len − 1`),
@@ -456,7 +523,7 @@ impl Kernel {
         let h1 = p.head_sqerror(c);
         herrs.push((h1, self.arena.root(c, p.chain_sum(c))));
         for k in 2..=self.b {
-            let hk = self.herror_eval(p, c, k, Some(herrs[k - 2]), false);
+            let hk = self.herror_eval(p, c, k, herrs[k - 2]);
             herrs.push(hk);
         }
 
@@ -733,7 +800,7 @@ impl Kernel {
         let mut queue: Vec<Interval> = Vec::new();
         let mut a = 0usize;
         while a < m {
-            let (t, chain_a) = self.herror_eval(p, a, k, None, true);
+            let (t, pick_a) = self.herror_probe(p, a, k);
             let threshold = (1.0 + self.delta) * t;
             // Binary search for the maximal c in [a, m-1] with
             // HERROR[c, k] <= threshold. HERROR[a, k] = t qualifies, so the
@@ -741,21 +808,23 @@ impl Kernel {
             self.searches += 1;
             let mut lo = a;
             let mut hi = m - 1;
-            let mut lo_val: (f64, CutId) = (t, chain_a);
+            let (mut lo_val, mut lo_pick) = (t, pick_a);
             while lo < hi {
                 #[cfg(feature = "obs")]
                 {
                     probes += 1;
                 }
                 let mid = lo + (hi - lo).div_ceil(2);
-                let hv = self.herror_eval(p, mid, k, None, true);
-                if hv.0 <= threshold {
+                let (hv, pick) = self.herror_probe(p, mid, k);
+                if hv <= threshold {
                     lo = mid;
-                    lo_val = hv;
+                    (lo_val, lo_pick) = (hv, pick);
                 } else {
                     hi = mid - 1;
                 }
             }
+            // Only the kept endpoint gets a chain.
+            let chain = self.realize(p, lo, lo_pick);
             let (s, q) = p.dp_sums(lo);
             queue.push(Interval {
                 start_herror: t,
@@ -763,8 +832,8 @@ impl Kernel {
                     idx: lo,
                     sum: s,
                     sqsum: q,
-                    herror: lo_val.0,
-                    chain: lo_val.1,
+                    herror: lo_val,
+                    chain,
                 },
             });
             a = lo + 1;
@@ -793,8 +862,9 @@ impl Kernel {
                 let q = kernel.create_list(p, k, m);
                 kernel.queues.push(q);
             }
-            let top = kernel.herror_eval(p, m - 1, b, None, true);
-            kernel.top = Some(top);
+            let (h, pick) = kernel.herror_probe(p, m - 1, b);
+            let chain = kernel.realize(p, m - 1, pick);
+            kernel.top = Some((h, chain));
         }
 
         // A fresh batch kernel starts its work counters at zero, so the

@@ -28,10 +28,11 @@
 //!    absent, not dynamically skipped — the `bench_obs_overhead` bin
 //!    enforces a ≤2% budget on the disabled path). With the feature
 //!    enabled the hooks are live only after a thread-scoped
-//!    [`KernelTracer`] is installed — via [`set_thread_kernel_tracer`] or
-//!    [`ShardedFixedWindowBuilder::kernel_tracer`](crate::ShardedFixedWindowBuilder::kernel_tracer)
-//!    (worker threads self-install) — and un-traced code pays one
-//!    thread-local read and a branch.
+//!    `KernelTracer` is installed — via `set_thread_kernel_tracer` or
+//!    `ShardedFixedWindowBuilder::kernel_tracer` (worker threads
+//!    self-install) — and un-traced code pays one thread-local read and a
+//!    branch. (These three items exist only with the feature, so they are
+//!    named here, not linked.)
 
 use streamhist_obs::MetricsRegistry;
 
