@@ -78,7 +78,7 @@ pub trait WindowSums {
 }
 
 /// Read interface tailored to the streaming dynamic program (the shared
-/// `herror_eval` kernel in `streamhist-stream`): the three prefix views the
+/// `HERROR` kernel in `streamhist-stream`): the three prefix views the
 /// DP consumes, each in the cheapest frame the backing store can serve.
 ///
 /// The kernel compares segment errors of the form

@@ -20,7 +20,7 @@
 //!
 //! Both algorithms (and the time-based [`TimeWindowHistogram`]) drive one
 //! shared dynamic-programming kernel (`kernel` module): a single
-//! `herror_eval` minimization and interval-queue maintenance
+//! `HERROR` minimization and interval-queue maintenance
 //! implementation, generic over a
 //! [`PrefixProvider`](streamhist_core::PrefixProvider) (absolute running
 //! totals for the whole-stream algorithm, rebased `SUM'`/`SQSUM'` stores
